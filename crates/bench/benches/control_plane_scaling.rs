@@ -1,15 +1,16 @@
-//! Control-plane scaling: the monolithic `TokenServer` event loop versus the
-//! sharded `Coordinator` behind the same [`ControlPlane`] seam, at 64 to
-//! 8192 simulated workers.
+//! Control-plane scaling: `fela-check`'s oracle Token Server — the original
+//! single scan-based event loop — versus the production [`ControlPlane`],
+//! which serves every pick from ordered indices, at 64 to 8192 simulated
+//! workers.
 //!
 //! Each measurement drives one full BSP iteration of grant/report/sync traffic
 //! through the plane — every `request` walks the distribution pick path, every
 //! `report` maintains the steal indices — so the number is the pure
 //! control-plane cost per iteration with no compute or network model attached.
 //! The batch grows with the worker count (`max(1024, W)`) so every worker has
-//! level-0 tokens to pull; the schedules produced by both planes are
-//! byte-identical (proved in `tests/tests/shard.rs`), making this a like-for-
-//! like cost comparison.
+//! level-0 tokens to pull; the schedules produced by both are byte-identical
+//! (proved in `tests/tests/shard.rs`), making this a like-for-like cost
+//! comparison.
 //!
 //! Run with `FELA_BENCH_DIR=<dir>` to emit `BENCH_control_plane_scaling.json`;
 //! `FELA_BENCH_QUICK=1` shortens the measurement for CI smoke runs.
@@ -17,29 +18,29 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use fela_core::{ControlPlane, FelaConfig, Grant, LevelMeta, TokenPlan};
+use fela_check::TokenServer;
+use fela_core::{ControlPlane, FelaConfig, LevelMeta, TokenPlan};
 use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
 use fela_sim::SimTime;
 
-/// Worker counts where both planes are measured; the batch is scaled along so
-/// level 0 always carries at least one token per worker. The single-loop
-/// baseline stops at 1024: its per-grant steal scan is O(workers), so one
-/// iteration already costs seconds there and minutes at 4096 — which is the
-/// point of the refactor, but not something a bench run should sit through.
+/// Worker counts where both are measured; the batch is scaled along so level
+/// 0 always carries at least one token per worker. The oracle stops at 1024:
+/// its per-grant steal scan is O(workers), so one iteration already costs
+/// seconds there and minutes at 4096 — which is why production runs the
+/// indexed plane, but not something a bench run should sit through.
 const PAIRED_WORKER_COUNTS: [usize; 3] = [64, 256, 1024];
-/// Worker counts measured for the sharded plane only, past where the
-/// baseline is practical.
-const SHARDED_ONLY_WORKER_COUNTS: [usize; 2] = [4096, 8192];
+/// Worker counts measured for the production plane only, past where the
+/// oracle is practical.
+const PLANE_ONLY_WORKER_COUNTS: [usize; 2] = [4096, 8192];
 
-fn make_plane(workers: usize, shards: usize) -> ControlPlane {
+/// The shared inputs: VGG19 on the k40c profile, weights `[1, 2, 4]`.
+fn inputs(workers: usize) -> (TokenPlan, FelaConfig, Vec<LevelMeta>) {
     let partition = bin_partition(
         &zoo::vgg19(),
         &ThresholdProfile::k40c(),
         PartitionOptions::default(),
     );
-    let cfg = FelaConfig::new(3)
-        .with_weights(vec![1, 2, 4])
-        .with_shards(shards);
+    let cfg = FelaConfig::new(3).with_weights(vec![1, 2, 4]);
     let batch = workers.max(1024) as u64;
     let plan = TokenPlan::build(&partition, &cfg, batch, workers).unwrap();
     let meta: Vec<LevelMeta> = partition
@@ -52,62 +53,79 @@ fn make_plane(workers: usize, shards: usize) -> ControlPlane {
             comm_intensive: s.comm_intensive,
         })
         .collect();
+    (plan, cfg, meta)
+}
+
+fn make_plane(workers: usize) -> ControlPlane {
+    let (plan, cfg, meta) = inputs(workers);
     ControlPlane::new(plan, cfg, meta, workers, 1_000_000)
+}
+
+fn make_oracle(workers: usize) -> TokenServer {
+    let (plan, cfg, meta) = inputs(workers);
+    TokenServer::new(plan, cfg, meta, workers, 1_000_000)
 }
 
 /// Grant + report every token of one iteration, exactly like the simulator's
 /// control-plane turn: request on idle, report on completion, drain any
-/// barrier-released grants.
-fn drive_one_iteration(mut plane: ControlPlane, workers: usize) -> u64 {
-    let mut clock = 0u64;
-    let mut done = 0u64;
-    let total = plane.plan().tokens_per_iteration();
-    let mut active: Vec<(usize, Grant)> = Vec::new();
-    for w in 0..workers {
-        clock += 100_000;
-        if let Some(g) = plane.request(w, SimTime::from_nanos(clock)).unwrap() {
-            active.push((w, g));
+/// barrier-released grants. A macro because the oracle and the plane share
+/// the API but no trait.
+macro_rules! drive_one_iteration {
+    ($plane:expr, $workers:expr) => {{
+        let mut plane = $plane;
+        let mut clock = 0u64;
+        let mut done = 0u64;
+        let total = plane.plan().tokens_per_iteration();
+        let mut active = Vec::new();
+        for w in 0..$workers {
+            clock += 100_000;
+            if let Some(g) = plane.request(w, SimTime::from_nanos(clock)).unwrap() {
+                active.push((w, g));
+            }
         }
-    }
-    while done < total {
-        let (w, g) = active.pop().expect("tokens available");
-        for s in plane.report(w, g.token.id).unwrap() {
-            plane.sync_finished(s.level, s.iteration).unwrap();
+        while done < total {
+            let (w, g) = active.pop().expect("tokens available");
+            for s in plane.report(w, g.token.id).unwrap() {
+                plane.sync_finished(s.level, s.iteration).unwrap();
+            }
+            done += 1;
+            clock += 100_000;
+            if let Some(g2) = plane.request(w, SimTime::from_nanos(clock)).unwrap() {
+                active.push((w, g2));
+            }
+            while let Some(pair) = plane.pop_ready_grant(SimTime::from_nanos(clock)).unwrap() {
+                active.push(pair);
+            }
         }
-        done += 1;
-        clock += 100_000;
-        if let Some(g2) = plane.request(w, SimTime::from_nanos(clock)).unwrap() {
-            active.push((w, g2));
-        }
-        while let Some(pair) = plane.pop_ready_grant(SimTime::from_nanos(clock)).unwrap() {
-            active.push(pair);
-        }
-    }
-    plane.stats().grants
+        plane.stats().grants
+    }};
 }
 
 fn bench_control_plane_scaling(c: &mut Criterion) {
     for workers in PAIRED_WORKER_COUNTS {
-        c.bench_function(&format!("control/plane_single_{workers}workers"), |b| {
+        c.bench_function(
+            &format!("control/oracle_single_loop_{workers}workers"),
+            |b| {
+                b.iter_batched(
+                    || make_oracle(workers),
+                    |oracle| black_box(drive_one_iteration!(oracle, workers)),
+                    BatchSize::SmallInput,
+                )
+            },
+        );
+        c.bench_function(&format!("control/plane_{workers}workers"), |b| {
             b.iter_batched(
-                || make_plane(workers, 1),
-                |plane| black_box(drive_one_iteration(plane, workers)),
-                BatchSize::SmallInput,
-            )
-        });
-        c.bench_function(&format!("control/plane_sharded3_{workers}workers"), |b| {
-            b.iter_batched(
-                || make_plane(workers, 3),
-                |plane| black_box(drive_one_iteration(plane, workers)),
+                || make_plane(workers),
+                |plane| black_box(drive_one_iteration!(plane, workers)),
                 BatchSize::SmallInput,
             )
         });
     }
-    for workers in SHARDED_ONLY_WORKER_COUNTS {
-        c.bench_function(&format!("control/plane_sharded3_{workers}workers"), |b| {
+    for workers in PLANE_ONLY_WORKER_COUNTS {
+        c.bench_function(&format!("control/plane_{workers}workers"), |b| {
             b.iter_batched(
-                || make_plane(workers, 3),
-                |plane| black_box(drive_one_iteration(plane, workers)),
+                || make_plane(workers),
+                |plane| black_box(drive_one_iteration!(plane, workers)),
                 BatchSize::SmallInput,
             )
         });

@@ -19,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use fela_core::{FelaConfig, LevelMeta, TokenPlan, TokenServer};
+use fela_core::{ControlPlane, FelaConfig, LevelMeta, TokenPlan};
 use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
 use fela_net::fairshare::{max_min_rates, FlowLinks, IncrementalMaxMin};
 use fela_sim::SimTime;
@@ -103,7 +103,7 @@ fn bench_fairshare_scaling(c: &mut Criterion) {
     }
 }
 
-fn make_server() -> TokenServer {
+fn make_plane() -> ControlPlane {
     let partition = bin_partition(
         &zoo::vgg19(),
         &ThresholdProfile::k40c(),
@@ -121,7 +121,7 @@ fn make_server() -> TokenServer {
             comm_intensive: s.comm_intensive,
         })
         .collect();
-    TokenServer::new(plan, cfg, meta, 8, 1_000_000)
+    ControlPlane::new(plan, cfg, meta, 8, 1_000_000)
 }
 
 fn bench_distribution(c: &mut Criterion) {
@@ -130,7 +130,7 @@ fn bench_distribution(c: &mut Criterion) {
     // `report` maintains it.
     c.bench_function("core/distribution_one_iteration", |b| {
         b.iter_batched(
-            make_server,
+            make_plane,
             |mut ts| {
                 let mut clock = 0u64;
                 let mut done = 0u64;

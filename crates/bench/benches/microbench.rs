@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use fela_cluster::{Scenario, TrainingRuntime};
-use fela_core::{FelaConfig, FelaRuntime, LevelMeta, TokenPlan, TokenServer};
+use fela_core::{ControlPlane, FelaConfig, FelaRuntime, LevelMeta, TokenPlan};
 use fela_gpu::ComputeModel;
 use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
 use fela_net::fairshare::{max_min_rates, FlowLinks};
@@ -69,7 +69,7 @@ fn bench_fairshare(c: &mut Criterion) {
     });
 }
 
-fn make_server() -> TokenServer {
+fn make_plane() -> ControlPlane {
     let partition = bin_partition(
         &zoo::vgg19(),
         &ThresholdProfile::k40c(),
@@ -87,7 +87,7 @@ fn make_server() -> TokenServer {
             comm_intensive: s.comm_intensive,
         })
         .collect();
-    TokenServer::new(plan, cfg, meta, 8, 1_000_000)
+    ControlPlane::new(plan, cfg, meta, 8, 1_000_000)
 }
 
 fn bench_token_server(c: &mut Criterion) {
@@ -95,7 +95,7 @@ fn bench_token_server(c: &mut Criterion) {
     // path the TS runs on every request).
     c.bench_function("core/token_server_one_iteration", |b| {
         b.iter_batched(
-            make_server,
+            make_plane,
             |mut ts| {
                 let mut clock = 0u64;
                 let mut done = 0u64;

@@ -1,4 +1,5 @@
-//! Bounded exhaustive interleaving exploration of the Token Server.
+//! Bounded exhaustive interleaving exploration of the production control
+//! plane ([`ControlPlane`]).
 //!
 //! The race detector checks *one* trace. This module checks *all of them* for a
 //! small configuration (2 workers × 2 sub-models × 2 micro-batches × 2
@@ -25,8 +26,8 @@
 use std::collections::BTreeSet;
 
 use fela_core::{
-    FelaConfig, LevelMeta, LevelPlan, ScheduleError, ServerSnapshot, SyncSpec, TokenId, TokenPlan,
-    TokenServer,
+    ControlPlane, FelaConfig, LevelMeta, LevelPlan, ScheduleError, ServerSnapshot, SyncSpec,
+    TokenId, TokenPlan,
 };
 use fela_engine::{serial_step, EngineLayer, EngineNet, SplitPlan, Tensor, TokenExecutor};
 use fela_sim::SimTime;
@@ -115,7 +116,7 @@ pub struct ExploreOutcome {
 
 /// The small configuration under exploration, plus bounds.
 pub struct Explorer {
-    server: TokenServer,
+    plane: ControlPlane,
     staleness: u64,
     /// Stop after this many distinct states (safety net; the 2×2×2 space is
     /// far smaller).
@@ -126,7 +127,7 @@ pub struct Explorer {
 
 #[derive(Clone)]
 struct State {
-    server: TokenServer,
+    plane: ControlPlane,
     /// Token currently granted to each worker (None = idle or queued).
     holdings: Vec<Option<TokenId>>,
     /// Non-degenerate syncs in flight.
@@ -188,7 +189,7 @@ impl Explorer {
             },
         ];
         Explorer {
-            server: TokenServer::new(plan, cfg, meta, 2, 2),
+            plane: ControlPlane::new(plan, cfg, meta, 2, 2),
             staleness,
             max_states: 100_000,
             max_schedules: 256,
@@ -197,17 +198,17 @@ impl Explorer {
 
     /// The plan driving the exploration.
     pub fn plan(&self) -> &TokenPlan {
-        self.server.plan()
+        self.plane.plan()
     }
 
     /// The configuration driving the exploration.
     pub fn config(&self) -> &FelaConfig {
-        self.server.config()
+        self.plane.config()
     }
 
     /// Explores every interleaving, returning schedules and violations.
     pub fn explore(&self) -> ExploreOutcome {
-        let n = self.server.n_workers();
+        let n = self.plane.n_workers();
         let mut outcome = ExploreOutcome {
             schedules: Vec::new(),
             states_visited: 0,
@@ -217,7 +218,7 @@ impl Explorer {
         let mut schedules: BTreeSet<Vec<(usize, u64, u64)>> = BTreeSet::new();
         let mut visited: BTreeSet<StateKey> = BTreeSet::new();
         let mut stack = vec![State {
-            server: self.server.clone(),
+            plane: self.plane.clone(),
             holdings: vec![None; n],
             pending: Vec::new(),
             reported: BTreeSet::new(),
@@ -233,7 +234,7 @@ impl Explorer {
                 outcome.truncated = true;
                 break;
             }
-            if state.server.run_complete()
+            if state.plane.run_complete()
                 && state.pending.is_empty()
                 && state.holdings.iter().all(Option::is_none)
             {
@@ -262,7 +263,7 @@ impl Explorer {
 
     fn key_of(state: &State) -> StateKey {
         (
-            state.server.snapshot(),
+            state.plane.snapshot(),
             state.holdings.iter().map(|h| h.map(|t| t.0)).collect(),
             state
                 .pending
@@ -273,7 +274,7 @@ impl Explorer {
     }
 
     fn enabled_actions(&self, state: &State) -> Vec<Action> {
-        let snapshot = state.server.snapshot();
+        let snapshot = state.plane.snapshot();
         let mut actions = Vec::new();
         for w in 0..state.holdings.len() {
             match state.holdings[w] {
@@ -299,7 +300,7 @@ impl Explorer {
         let mut next = state.clone();
         match action {
             Action::Request(w) => {
-                if let Some(grant) = next.server.request(w, SimTime::ZERO)? {
+                if let Some(grant) = next.plane.request(w, SimTime::ZERO)? {
                     self.check_grant(&next, &grant.token, violations);
                     next.holdings[w] = Some(grant.token.id);
                 }
@@ -307,16 +308,16 @@ impl Explorer {
             Action::Report(w) => {
                 let token = next.holdings[w].take().expect("report needs a holding");
                 let (level, iteration, seq) = {
-                    let t = next.server.token(token).expect("held token exists");
+                    let t = next.plane.token(token).expect("held token exists");
                     (t.level, t.iteration, t.seq)
                 };
-                let syncs = next.server.report(w, token)?;
+                let syncs = next.plane.report(w, token)?;
                 next.reported.insert(token.0);
                 next.order.push((level, iteration, seq));
                 for spec in syncs {
                     if spec.is_degenerate() {
                         // Mirror the runtime: degenerate commits are immediate.
-                        next.server.sync_finished(spec.level, spec.iteration)?;
+                        next.plane.sync_finished(spec.level, spec.iteration)?;
                     } else {
                         next.pending.push(spec);
                     }
@@ -325,7 +326,7 @@ impl Explorer {
             }
             Action::FinishSync(i) => {
                 let spec = next.pending.remove(i);
-                next.server.sync_finished(spec.level, spec.iteration)?;
+                next.plane.sync_finished(spec.level, spec.iteration)?;
                 self.drain(&mut next, violations)?;
             }
         }
@@ -339,7 +340,7 @@ impl Explorer {
         state: &mut State,
         violations: &mut Vec<ExploreViolation>,
     ) -> Result<(), ScheduleError> {
-        while let Some((w, grant)) = state.server.pop_ready_grant(SimTime::ZERO)? {
+        while let Some((w, grant)) = state.plane.pop_ready_grant(SimTime::ZERO)? {
             self.check_grant(state, &grant.token, violations);
             assert!(state.holdings[w].is_none(), "queued worker held a token");
             state.holdings[w] = Some(grant.token.id);
@@ -361,7 +362,7 @@ impl Explorer {
                 });
             }
         }
-        let synced = state.server.snapshot().synced_upto[token.level];
+        let synced = state.plane.snapshot().synced_upto[token.level];
         if token.iteration > synced + self.staleness {
             violations.push(ExploreViolation::PrematureGrant {
                 token: token.id.0,

@@ -27,7 +27,7 @@
 //!   through every non-equivalent message-delivery / lease-fire interleaving
 //!   of a small cluster (memoized DFS, DPOR via eager local steps), checking
 //!   deadlock-freedom, lost-wakeup-freedom, exactly-once token application and
-//!   per-op linearizability against the monolithic `TokenServer` oracle.
+//!   per-op linearizability against the oracle [`TokenServer`].
 //!   Seeded mutations (dropped grant, reordered Grant/Report, misrouted Grant)
 //!   each produce a distinct diagnostic.
 //! * [`protocol`] — the frame-protocol session verifier: a per-link state
@@ -41,10 +41,17 @@
 //!   recovery checkers per epoch. Seeded mutations prove both elastic
 //!   diagnostics fire.
 //! * [`wal`] — write-ahead-log verification: replays a Token Server WAL
-//!   through an oracle [`fela_core::ControlPlane`], proving the recovered
+//!   through the oracle [`TokenServer`], proving the recovered
 //!   state is snapshot-equal and no token is applied twice. Seeded log
 //!   mutations (dropped, duplicated, reordered record, flipped byte) each
 //!   produce a distinct diagnostic.
+//! * [`server`] — the oracle [`TokenServer`]: the original scan-based,
+//!   monolithic implementation of §III, kept only to check the production
+//!   [`fela_core::ControlPlane`] against (lockstep proptests, fela-mc, the WAL
+//!   checker).
+//! * [`oplog`] — the oracle half of the op log: [`apply_op`] and
+//!   [`replay_oplog`] replay recorded production-plane operations on the
+//!   oracle and pinpoint the first divergence.
 //! * [`lint`] — the source-level rules behind the determinism and crash-safety
 //!   arguments (`no-unwrap`, `no-wallclock`, `no-unseeded-rng`,
 //!   `hashmap-order`, `lock-order`, `no-blocking-under-lock`), enforced by the
@@ -58,9 +65,11 @@ pub mod elastic;
 pub mod explore;
 pub mod lint;
 pub mod mc;
+pub mod oplog;
 pub mod protocol;
 pub mod race;
 pub mod recovery;
+pub mod server;
 pub mod wal;
 
 pub use dag::{DagNode, DagSummary, DagViolation, Mutation, ScheduleDag};
@@ -70,9 +79,10 @@ pub use elastic::{
 };
 pub use explore::{exhaustive_schedule_check, ExploreOutcome, ExploreViolation, Explorer};
 pub use mc::{
-    model_check, record_execution, run_mutation_matrix, McConfig, McMutation, McOutcome,
-    McViolation, MutationRun,
+    model_check, model_check_oracle, record_execution, run_mutation_matrix, McConfig, McMutation,
+    McOutcome, McViolation, MutationRun,
 };
+pub use oplog::{apply_op, replay_oplog};
 pub use protocol::{
     mutate_events, verify_session, SessionReport, SessionVerifier, SessionViolation, WireMutation,
 };
@@ -80,6 +90,7 @@ pub use race::{check_trace, HbAnalysis, RaceSummary, RaceViolation};
 pub use recovery::{
     check_recovery, mutate_trace, RecoveryMutation, RecoverySummary, RecoveryViolation,
 };
+pub use server::TokenServer;
 pub use wal::{
     check_wal, mutate_wal, reference_logged_run, reference_wal_check, run_wal_mutation_matrix,
     WalMutation, WalMutationRun, WalSummary, WalViolation,

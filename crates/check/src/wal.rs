@@ -2,8 +2,8 @@
 //!
 //! The [`crate::recovery`] module proves the lease protocol over *traces*;
 //! this module proves the complementary durability property over the *log
-//! itself*: a Token Server WAL, replayed from its `Begin` record through an
-//! oracle [`ControlPlane`], reproduces exactly the outcomes it recorded —
+//! itself*: a Token Server WAL, replayed from its `Begin` record through the
+//! oracle [`TokenServer`], reproduces exactly the outcomes it recorded —
 //! every grant, report, sync, revocation and lease fire once each, in order,
 //! with every checkpoint snapshot-equal to the oracle at that point. A log
 //! that passes [`check_wal`] is a log the crashed server can recover from
@@ -15,11 +15,14 @@
 
 use fela_core::wal::{encode_record, read_log};
 use fela_core::{
-    apply_op, ControlPlane, FelaConfig, LevelMeta, LevelPlan, MemWal, OpKind, OpOutcome,
-    ServerSnapshot, TokenId, TokenPlan, WalRecord,
+    ControlPlane, FelaConfig, LevelMeta, LevelPlan, MemWal, OpKind, OpOutcome, ServerSnapshot,
+    TokenId, TokenPlan, WalRecord,
 };
 use fela_sim::SimTime;
 use std::collections::BTreeSet;
+
+use crate::oplog::apply_op;
+use crate::server::TokenServer;
 
 /// A durability violation found while replaying a WAL.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -159,16 +162,14 @@ pub fn check_wal(
     let mut records = log.records.iter();
     match records.next() {
         Some(WalRecord::Begin {
-            shards,
             n_workers: w,
             max_iterations: m,
         }) => {
-            let want = cfg.shards.max(1) as u32;
-            if *shards != want || *w as usize != n_workers || *m != max_iterations {
+            if *w as usize != n_workers || *m != max_iterations {
                 violations.push(WalViolation::Corrupt {
                     detail: format!(
-                        "Begin({shards} shards, {w} workers, {m} iterations) describes a \
-                         different plane than ({want}, {n_workers}, {max_iterations})"
+                        "Begin({w} workers, {m} iterations) describes a different plane \
+                         than ({n_workers}, {max_iterations})"
                     ),
                 });
             }
@@ -180,7 +181,7 @@ pub fn check_wal(
         }
     }
 
-    let mut oracle = ControlPlane::new(
+    let mut oracle = TokenServer::new(
         plan.clone(),
         cfg.clone(),
         meta.to_vec(),
@@ -308,10 +309,8 @@ fn reference_meta() -> Vec<LevelMeta> {
     ]
 }
 
-fn reference_cfg(shards: usize) -> FelaConfig {
-    FelaConfig::new(2)
-        .with_weights(vec![1, 2])
-        .with_shards(shards)
+fn reference_cfg() -> FelaConfig {
+    FelaConfig::new(2).with_weights(vec![1, 2])
 }
 
 fn report_and_sync(
@@ -342,16 +341,25 @@ fn report_and_sync(
 /// returns the log bytes plus the final snapshot. The reference fixture
 /// behind `fela check --wal`, [`run_wal_mutation_matrix`] and this module's
 /// tests: small enough to replay instantly, large enough to exercise grants,
-/// deferred grants, syncs and (optionally) checkpoints on both the
-/// monolithic and the sharded plane.
-pub fn reference_logged_run(shards: usize, checkpoint_every: u64) -> (Vec<u8>, ServerSnapshot) {
+/// deferred grants, syncs and (optionally) checkpoints.
+pub fn reference_logged_run(checkpoint_every: u64) -> (Vec<u8>, ServerSnapshot) {
+    logged_run_shaped(2, 2, checkpoint_every)
+}
+
+/// [`reference_logged_run`] on `n_workers` workers for `iterations`
+/// iterations.
+fn logged_run_shaped(
+    n_workers: usize,
+    iterations: u64,
+    checkpoint_every: u64,
+) -> (Vec<u8>, ServerSnapshot) {
     let mem = MemWal::new();
     let mut plane = ControlPlane::new(
         reference_plan(),
-        reference_cfg(shards),
+        reference_cfg(),
         reference_meta(),
-        2,
-        2,
+        n_workers,
+        iterations,
     );
     if let Err(e) = plane.attach_wal(Box::new(mem.clone())) {
         panic!("an in-memory WAL cannot fail to attach: {e}");
@@ -360,7 +368,7 @@ pub fn reference_logged_run(shards: usize, checkpoint_every: u64) -> (Vec<u8>, S
     let mut synced = 0u64;
     while !plane.run_complete() {
         let mut progressed = false;
-        for w in 0..2 {
+        for w in 0..n_workers {
             if let Ok(Some(grant)) = plane.request(w, now) {
                 report_and_sync(&mut plane, w, grant.token.id, checkpoint_every, &mut synced);
                 progressed = true;
@@ -379,15 +387,12 @@ pub fn reference_logged_run(shards: usize, checkpoint_every: u64) -> (Vec<u8>, S
 
 /// Runs [`reference_logged_run`] and replays its own log through
 /// [`check_wal`], with the run's final snapshot as the expected state.
-pub fn reference_wal_check(
-    shards: usize,
-    checkpoint_every: u64,
-) -> Result<WalSummary, Vec<WalViolation>> {
-    let (bytes, last) = reference_logged_run(shards, checkpoint_every);
+pub fn reference_wal_check(checkpoint_every: u64) -> Result<WalSummary, Vec<WalViolation>> {
+    let (bytes, last) = reference_logged_run(checkpoint_every);
     check_wal(
         &bytes,
         &reference_plan(),
-        &reference_cfg(shards),
+        &reference_cfg(),
         &reference_meta(),
         2,
         2,
@@ -421,7 +426,7 @@ pub fn run_wal_mutation_matrix() -> Vec<WalMutationRun> {
         WalMutation,
         fn(&WalViolation) -> bool,
     );
-    let (bytes, _) = reference_logged_run(1, 0);
+    let (bytes, _) = reference_logged_run(0);
     let cases: [MutationCase; 4] = [
         (
             "dropped record",
@@ -454,7 +459,7 @@ pub fn run_wal_mutation_matrix() -> Vec<WalMutationRun> {
         let row = match check_wal(
             &mutated,
             &reference_plan(),
-            &reference_cfg(1),
+            &reference_cfg(),
             &reference_meta(),
             2,
             2,
@@ -589,36 +594,44 @@ pub fn mutate_wal(bytes: &[u8], mutation: WalMutation) -> Vec<u8> {
 mod tests {
     use super::*;
 
-    fn logged_run(shards: usize, checkpoint_every: u64) -> (Vec<u8>, ServerSnapshot) {
-        reference_logged_run(shards, checkpoint_every)
+    fn logged_run(checkpoint_every: u64) -> (Vec<u8>, ServerSnapshot) {
+        reference_logged_run(checkpoint_every)
     }
 
-    fn check(
+    /// The plane shapes `(workers, iterations)` the sound-log tests cover.
+    const SHAPES: [(usize, u64); 2] = [(2, 2), (3, 1)];
+
+    fn check_shaped(
         bytes: &[u8],
-        shards: usize,
+        n_workers: usize,
+        max_iterations: u64,
         last: Option<&ServerSnapshot>,
     ) -> Result<WalSummary, Vec<WalViolation>> {
         check_wal(
             bytes,
             &reference_plan(),
-            &reference_cfg(shards),
+            &reference_cfg(),
             &reference_meta(),
-            2,
-            2,
+            n_workers,
+            max_iterations,
             last,
         )
     }
 
+    fn check(bytes: &[u8], last: Option<&ServerSnapshot>) -> Result<WalSummary, Vec<WalViolation>> {
+        check_shaped(bytes, 2, 2, last)
+    }
+
     #[test]
     fn a_sound_log_replays_cleanly_on_both_plane_shapes() {
-        for shards in [1usize, 2] {
-            let (bytes, last) = logged_run(shards, 0);
-            let s = check(&bytes, shards, Some(&last)).expect("sound log");
+        for (workers, iterations) in SHAPES {
+            let (bytes, last) = logged_run_shaped(workers, iterations, 0);
+            let s = check_shaped(&bytes, workers, iterations, Some(&last)).expect("sound log");
             assert!(s.ops > 0);
             assert_eq!(
-                s.applied,
-                2 * 3,
-                "three tokens per iteration, two iterations"
+                s.applied as u64,
+                3 * iterations,
+                "three tokens per iteration ({workers} workers)"
             );
             assert_eq!(s.torn_bytes, 0);
         }
@@ -626,17 +639,17 @@ mod tests {
 
     #[test]
     fn checkpoints_verify_against_the_oracle() {
-        let (bytes, last) = logged_run(1, 1);
-        let s = check(&bytes, 1, Some(&last)).expect("sound log");
+        let (bytes, last) = logged_run(1);
+        let s = check(&bytes, Some(&last)).expect("sound log");
         assert!(s.checkpoints >= 1);
     }
 
     #[test]
     fn a_dropped_record_is_diagnosed_as_a_drop() {
         for seed in [0u64, 3, 9] {
-            let (bytes, _) = logged_run(1, 0);
+            let (bytes, _) = logged_run(0);
             let mutated = mutate_wal(&bytes, WalMutation::DropRecord { seed });
-            let violations = check(&mutated, 1, None).expect_err("drop must be caught");
+            let violations = check(&mutated, None).expect_err("drop must be caught");
             assert!(
                 violations
                     .iter()
@@ -655,9 +668,9 @@ mod tests {
     #[test]
     fn a_duplicated_record_is_diagnosed_as_a_duplicate() {
         for seed in [0u64, 3, 9] {
-            let (bytes, _) = logged_run(1, 0);
+            let (bytes, _) = logged_run(0);
             let mutated = mutate_wal(&bytes, WalMutation::DuplicateRecord { seed });
-            let violations = check(&mutated, 1, None).expect_err("duplicate must be caught");
+            let violations = check(&mutated, None).expect_err("duplicate must be caught");
             assert!(
                 violations
                     .iter()
@@ -675,7 +688,7 @@ mod tests {
 
     #[test]
     fn a_duplicated_report_is_also_a_double_apply() {
-        let (bytes, _) = logged_run(1, 0);
+        let (bytes, _) = logged_run(0);
         let log = read_log(&bytes).expect("sound log");
         // Find an op index (among ops) holding an accepted report.
         let mut report_seed = None;
@@ -694,7 +707,7 @@ mod tests {
         }
         let seed = report_seed.expect("a completed run has accepted reports");
         let mutated = mutate_wal(&bytes, WalMutation::DuplicateRecord { seed });
-        let violations = check(&mutated, 1, None).expect_err("duplicate must be caught");
+        let violations = check(&mutated, None).expect_err("duplicate must be caught");
         assert!(
             violations
                 .iter()
@@ -706,9 +719,9 @@ mod tests {
     #[test]
     fn a_reordered_record_is_diagnosed_as_a_reorder() {
         for seed in [0u64, 3, 9] {
-            let (bytes, _) = logged_run(1, 0);
+            let (bytes, _) = logged_run(0);
             let mutated = mutate_wal(&bytes, WalMutation::SwapWithNext { seed });
-            let violations = check(&mutated, 1, None).expect_err("reorder must be caught");
+            let violations = check(&mutated, None).expect_err("reorder must be caught");
             assert!(
                 violations
                     .iter()
@@ -720,9 +733,9 @@ mod tests {
 
     #[test]
     fn a_flipped_byte_is_diagnosed_as_corruption() {
-        let (bytes, _) = logged_run(1, 0);
+        let (bytes, _) = logged_run(0);
         let mutated = mutate_wal(&bytes, WalMutation::CorruptByte { seed: 17 });
-        let violations = check(&mutated, 1, None).expect_err("corruption must be caught");
+        let violations = check(&mutated, None).expect_err("corruption must be caught");
         assert!(
             violations
                 .iter()
@@ -733,10 +746,10 @@ mod tests {
 
     #[test]
     fn a_wrong_final_snapshot_is_diagnosed() {
-        let (bytes, _) = logged_run(1, 0);
-        let fresh = ControlPlane::new(reference_plan(), reference_cfg(1), reference_meta(), 2, 2)
-            .snapshot();
-        let violations = check(&bytes, 1, Some(&fresh)).expect_err("final state must differ");
+        let (bytes, _) = logged_run(0);
+        let fresh =
+            ControlPlane::new(reference_plan(), reference_cfg(), reference_meta(), 2, 2).snapshot();
+        let violations = check(&bytes, Some(&fresh)).expect_err("final state must differ");
         assert!(
             violations
                 .iter()
@@ -762,16 +775,19 @@ mod tests {
 
     #[test]
     fn the_reference_check_is_clean_on_both_plane_shapes() {
-        for shards in [1usize, 2] {
-            let s = reference_wal_check(shards, 1).expect("sound log");
-            assert!(s.checkpoints >= 1);
-        }
+        let s = reference_wal_check(1).expect("sound log");
+        assert!(s.checkpoints >= 1);
+        let (workers, iterations) = SHAPES[1];
+        let (bytes, last) = logged_run_shaped(workers, iterations, 1);
+        let s = check_shaped(&bytes, workers, iterations, Some(&last)).expect("sound log");
+        assert!(s.checkpoints >= 1);
     }
 
     #[test]
     fn a_log_for_a_different_plane_shape_is_rejected() {
-        let (bytes, _) = logged_run(2, 0);
-        let violations = check(&bytes, 1, None).expect_err("shape mismatch must be caught");
+        let (bytes, _) = logged_run(0);
+        let violations =
+            check_shaped(&bytes, 2, 3, None).expect_err("shape mismatch must be caught");
         assert!(
             violations
                 .iter()

@@ -232,8 +232,7 @@ fn cmd_run(run: &RunArgs) -> Result<(), String> {
     }
     config = config
         .with_staleness(run.staleness)
-        .with_pipelining(!run.no_pipelining)
-        .with_shards(args::resolve_shards(run.shards, m).map_err(|e| e.to_string())?);
+        .with_pipelining(!run.no_pipelining);
     config.validate(sc.cluster.nodes);
 
     let mut runtime = FelaRuntime::new(config.clone());
@@ -487,8 +486,6 @@ fn cmd_live(live: &LiveArgs) -> Result<(), String> {
         }
         None => FelaConfig::new(m),
     };
-    let config =
-        config.with_shards(args::resolve_shards(live.shards, m).map_err(|e| e.to_string())?);
     config.validate(sc.cluster.nodes);
     let mut transport = fela_live::transport_by_name(&live.transport)
         .ok_or_else(|| format!("unknown transport '{}'", live.transport))?;
@@ -837,11 +834,11 @@ fn cmd_check(check: &CheckArgs) -> Result<(), String> {
 
 /// `fela check --mc [--protocol]`: the live-runtime model checker and frame
 /// protocol verifier. `--mc` exhaustively explores every non-equivalent
-/// message-delivery / lease-fire interleaving of small clusters (monolithic
-/// and sharded, with and without the lease-expiry adversary), checks
-/// deadlock-freedom, lost-wakeup-freedom and exactly-once token application,
-/// proves per-op linearizability against the monolithic `TokenServer` oracle,
-/// and runs the seeded-mutation matrix expecting every mutation caught with a
+/// message-delivery / lease-fire interleaving of small clusters (with and
+/// without the lease-expiry adversary), checks deadlock-freedom,
+/// lost-wakeup-freedom and exactly-once token application, proves per-op
+/// linearizability against the oracle `TokenServer` and that the production
+/// plane's state graph equals the oracle's explored alone, and runs the seeded-mutation matrix expecting every mutation caught with a
 /// distinct diagnostic. `--protocol` replays recorded executions — both the
 /// model checker's deterministic schedule and a real threaded virtual-clock
 /// run under `RecordingSched` — through the per-link frame-session verifier.
@@ -849,22 +846,33 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
     let mut failures = 0usize;
 
     if check.mc {
-        let sweep: Vec<(&str, fela_check::McConfig)> = vec![
+        type Explore = fn(&fela_check::McConfig) -> fela_check::McOutcome;
+        let sweep: Vec<(&str, fela_check::McConfig, Explore)> = vec![
             (
-                "monolithic 2w×2i",
-                fela_check::McConfig::small().with_shards(1),
+                "oracle alone 2w×2i",
+                fela_check::McConfig::small(),
+                fela_check::model_check_oracle,
             ),
-            ("sharded 2w×2s×2i", fela_check::McConfig::small()),
             (
-                "sharded + lease adversary",
+                "2w×2i vs oracle",
+                fela_check::McConfig::small(),
+                fela_check::model_check,
+            ),
+            (
+                "+ lease adversary",
                 fela_check::McConfig::small().with_recovery(),
+                fela_check::model_check,
             ),
-            ("3 workers × 2s × 1i", {
-                let mut cfg = fela_check::McConfig::small();
-                cfg.workers = 3;
-                cfg.iterations = 1;
-                cfg
-            }),
+            (
+                "3 workers × 1i",
+                {
+                    let mut cfg = fela_check::McConfig::small();
+                    cfg.workers = 3;
+                    cfg.iterations = 1;
+                    cfg
+                },
+                fela_check::model_check,
+            ),
         ];
         let mut table = Table::new(
             "Model checking — exhaustive interleaving exploration of the live runtime",
@@ -879,8 +887,10 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
                 "verdict",
             ],
         );
-        for (name, cfg) in &sweep {
-            let outcome = fela_check::model_check(cfg);
+        let mut graphs = Vec::new();
+        for (name, cfg, explore) in &sweep {
+            let outcome = explore(cfg);
+            graphs.push((outcome.states, outcome.transitions, outcome.terminals));
             table.row(vec![
                 (*name).into(),
                 outcome.states.to_string(),
@@ -911,6 +921,15 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
             }
         }
         print!("{}", table.render());
+        // The production plane must reach exactly the oracle's state graph.
+        if graphs[0] != graphs[1] {
+            failures += 1;
+            eprintln!(
+                "mc: state graph (states, transitions, terminals) {:?} differs from the \
+                 oracle's {:?}",
+                graphs[1], graphs[0]
+            );
+        }
 
         let matrix = fela_check::run_mutation_matrix();
         let mut mutation_table = Table::new(
@@ -944,22 +963,18 @@ fn cmd_check_mc(check: &CheckArgs) -> Result<(), String> {
     }
 
     if check.protocol {
-        for shards in [1usize, 2] {
-            let cfg = fela_check::McConfig::small().with_shards(shards);
-            let (events, ops) = fela_check::record_execution(&cfg);
-            let report = fela_check::verify_session(&events, Some(&ops));
-            println!(
-                "protocol (model, {shards} shard{}): {} links, {} frames — {}",
-                if shards == 1 { "" } else { "s" },
-                report.links,
-                report.frames,
-                if report.ok() { "clean" } else { "VIOLATIONS" }
-            );
-            if !report.ok() {
-                failures += report.violations.len();
-                for v in &report.violations {
-                    eprintln!("protocol: model/{shards}: {v}");
-                }
+        let (events, ops) = fela_check::record_execution(&fela_check::McConfig::small());
+        let report = fela_check::verify_session(&events, Some(&ops));
+        println!(
+            "protocol (model): {} links, {} frames — {}",
+            report.links,
+            report.frames,
+            if report.ok() { "clean" } else { "VIOLATIONS" }
+        );
+        if !report.ok() {
+            failures += report.violations.len();
+            for v in &report.violations {
+                eprintln!("protocol: model: {v}");
             }
         }
 
@@ -1028,12 +1043,8 @@ fn cmd_check_wal() -> Result<(), String> {
             "verdict",
         ],
     );
-    for (name, shards, checkpoint_every) in [
-        ("monolithic, log-only", 1usize, 0u64),
-        ("monolithic, checkpointed", 1, 1),
-        ("sharded x2, checkpointed", 2, 1),
-    ] {
-        match fela_check::reference_wal_check(shards, checkpoint_every) {
+    for (name, checkpoint_every) in [("log-only", 0u64), ("checkpointed", 1)] {
+        match fela_check::reference_wal_check(checkpoint_every) {
             Ok(s) => {
                 table.row(vec![
                     name.into(),

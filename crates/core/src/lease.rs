@@ -2,12 +2,8 @@
 //! how often each token's lease has been revoked, and each worker's expiry
 //! history (the quarantine trigger).
 //!
-//! Both control planes speak leases. The monolithic
-//! [`TokenServer`](crate::TokenServer) keeps the maps inline (it is the frozen
-//! conformance oracle); the sharded [`Coordinator`](crate::Coordinator)
-//! delegates token blocks to its shards and tracks the resulting grants here,
-//! in a [`LeaseTable`] — the cross-shard view that crash/expiry recovery walks
-//! without consulting any shard.
+//! The [`ControlPlane`](crate::ControlPlane) tracks every grant made under
+//! recovery in a [`LeaseTable`] — the ledger crash and expiry recovery walk.
 
 use std::collections::BTreeMap;
 
@@ -35,7 +31,7 @@ pub struct ExpiredLease {
     pub quarantined: bool,
 }
 
-/// The coordinator's lease ledger: active leases, per-token revocation counts
+/// The control plane's lease ledger: active leases, per-token revocation counts
 /// and per-worker expiry counts. Ordered maps only — recovery sweeps must
 /// revoke in token-id order so traces stay byte-identical across runs.
 #[derive(Clone, Default)]

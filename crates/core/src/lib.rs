@@ -7,14 +7,12 @@
 //!   overhead constants;
 //! * [`TokenPlan`] — how one BSP iteration decomposes into tokens per level
 //!   (§III-B, §IV-B);
-//! * [`TokenServer`] — Token Generator + Token Distributor + Token Bucket/STBs +
-//!   Info Mapping, with the ADS (§III-D), HF (§III-E) and CTD (§III-F) policies as
-//!   pure, unit-tested scheduling logic; kept as the frozen conformance oracle;
-//! * [`Coordinator`] / [`TokenShard`] — the sharded control plane for
-//!   thousand-worker clusters: levels split into contiguous ranges, one shard
-//!   per range, with grants delegated via leases and schedules proved
-//!   byte-identical to the oracle ([`ControlPlane`] is the seam the runtime
-//!   holds — `cfg.shards` selects the plane);
+//! * [`ControlPlane`] — the Token Server: Token Generator + Token Distributor +
+//!   Token Bucket/STBs + Info Mapping, with the ADS (§III-D), HF (§III-E) and
+//!   CTD (§III-F) policies as pure, unit-tested scheduling logic served from
+//!   ordered indices, plus op-log and write-ahead-log recording of every
+//!   mutating call. It is the one control plane every run holds; `fela-check`
+//!   keeps the scan-based original as its conformance oracle;
 //! * [`FelaRuntime`] — the discrete-event world tying the server to workers, the
 //!   GPU compute model, the flow-level network and straggler injection; implements
 //!   [`fela_cluster::TrainingRuntime`].
@@ -23,27 +21,24 @@
 #![forbid(unsafe_code)]
 
 mod config;
-mod coordinator;
 mod error;
 mod lease;
+mod levels;
 pub mod oplog;
 mod plan;
 mod runtime;
 mod server;
-mod shard;
 mod snapshot;
 mod token;
 pub mod wal;
 
 pub use config::{CtdConfig, FelaConfig, RecoveryConfig};
-pub use coordinator::{ControlPlane, Coordinator};
 pub use error::ScheduleError;
 pub use lease::{ExpiredLease, LeaseInfo};
-pub use oplog::{apply_op, replay_oplog, CoordOp, OpDivergence, OpKind, OpOutcome};
+pub use oplog::{apply_op, CoordOp, OpDivergence, OpKind, OpOutcome};
 pub use plan::{LevelPlan, PlanError, TokenPlan};
 pub use runtime::{ComputeBackend, ComputeRequest, FelaRuntime, LocalCompute};
-pub use server::{Grant, LevelMeta, ServerStats, SyncSpec, TokenServer};
-pub use shard::TokenShard;
+pub use server::{ControlPlane, Grant, LevelMeta, ServerStats, SyncSpec};
 pub use snapshot::ServerSnapshot;
 pub use token::{Token, TokenId};
 pub use wal::{

@@ -5,21 +5,20 @@
 //! inputs ([`OpKind`]) plus its observable outcome ([`OpOutcome`], the
 //! linearizability digest: which token was granted to whom at which attempt,
 //! which syncs became due, which leases were revoked, or which error was
-//! returned).
+//! returned). The write-ahead log persists the same records.
 //!
-//! The recorded history can then be replayed, op for op, against a freshly
-//! built *monolithic* [`TokenServer`] oracle ([`replay_oplog`]): because the
-//! sharded [`Coordinator`] is specified to be observably equivalent to the
-//! monolith, any digest divergence pinpoints the first operation where a
-//! sharded (or adversarially scheduled) history stops being linearizable
-//! against the oracle. `fela-check`'s model checker uses the same hook in
-//! lockstep — it drains the log after every explored transition and applies
-//! it to an oracle carried inside the model state — so every transition of
-//! every explored interleaving is oracle-checked, not just final states.
+//! [`apply_op`] re-applies a recorded operation to a plane — WAL recovery
+//! replays the log suffix through it. `fela-check` replays recorded
+//! histories, op for op, against its independent oracle Token Server
+//! (`fela_check::replay_oplog`, built on the public `outcome_of_*` digests
+//! below): any digest divergence pinpoints the first operation where a
+//! history stops being linearizable against the oracle. `fela-check`'s model
+//! checker uses the same hook in lockstep — it drains the log after every
+//! explored transition and applies it to an oracle carried inside the model
+//! state — so every transition of every explored interleaving is
+//! oracle-checked, not just final states.
 //!
 //! [`ControlPlane::enable_op_log`]: crate::ControlPlane::enable_op_log
-//! [`TokenServer`]: crate::TokenServer
-//! [`Coordinator`]: crate::Coordinator
 
 use fela_sim::SimTime;
 
@@ -142,7 +141,7 @@ fn grant_outcome(worker: usize, grant: &Grant) -> OpOutcome {
 }
 
 /// Digest of a `request` result.
-pub(crate) fn outcome_of_request(
+pub fn outcome_of_request(
     worker: usize,
     result: &Result<Option<Grant>, ScheduleError>,
 ) -> OpOutcome {
@@ -154,7 +153,7 @@ pub(crate) fn outcome_of_request(
 }
 
 /// Digest of a `pop_ready_grant` result.
-pub(crate) fn outcome_of_pop(result: &Result<Option<(usize, Grant)>, ScheduleError>) -> OpOutcome {
+pub fn outcome_of_pop(result: &Result<Option<(usize, Grant)>, ScheduleError>) -> OpOutcome {
     match result {
         Ok(Some((worker, grant))) => grant_outcome(*worker, grant),
         Ok(None) => OpOutcome::NoGrant,
@@ -163,7 +162,7 @@ pub(crate) fn outcome_of_pop(result: &Result<Option<(usize, Grant)>, ScheduleErr
 }
 
 /// Digest of a `report` result.
-pub(crate) fn outcome_of_report(result: &Result<Vec<SyncSpec>, ScheduleError>) -> OpOutcome {
+pub fn outcome_of_report(result: &Result<Vec<SyncSpec>, ScheduleError>) -> OpOutcome {
     match result {
         Ok(syncs) => OpOutcome::Synced {
             syncs: syncs.iter().map(|s| (s.level, s.iteration)).collect(),
@@ -173,7 +172,7 @@ pub(crate) fn outcome_of_report(result: &Result<Vec<SyncSpec>, ScheduleError>) -
 }
 
 /// Digest of a `worker_crashed` result.
-pub(crate) fn outcome_of_crash(result: &Result<Vec<TokenId>, ScheduleError>) -> OpOutcome {
+pub fn outcome_of_crash(result: &Result<Vec<TokenId>, ScheduleError>) -> OpOutcome {
     match result {
         Ok(tokens) => OpOutcome::Revoked {
             tokens: tokens.iter().map(|t| t.0).collect(),
@@ -183,7 +182,7 @@ pub(crate) fn outcome_of_crash(result: &Result<Vec<TokenId>, ScheduleError>) -> 
 }
 
 /// Digest of a unit-result op (`sync_finished`, `worker_restarted`).
-pub(crate) fn outcome_of_unit(result: &Result<(), ScheduleError>) -> OpOutcome {
+pub fn outcome_of_unit(result: &Result<(), ScheduleError>) -> OpOutcome {
     match result {
         Ok(()) => OpOutcome::Done,
         Err(e) => OpOutcome::Failed(e.clone()),
@@ -191,7 +190,7 @@ pub(crate) fn outcome_of_unit(result: &Result<(), ScheduleError>) -> OpOutcome {
 }
 
 /// Digest of a `lease_expired` result.
-pub(crate) fn outcome_of_expiry(result: &Result<Option<ExpiredLease>, ScheduleError>) -> OpOutcome {
+pub fn outcome_of_expiry(result: &Result<Option<ExpiredLease>, ScheduleError>) -> OpOutcome {
     match result {
         Ok(Some(expired)) => OpOutcome::Expired {
             worker: expired.worker,
@@ -204,7 +203,7 @@ pub(crate) fn outcome_of_expiry(result: &Result<Option<ExpiredLease>, ScheduleEr
 }
 
 /// Applies one recorded operation's inputs to `plane` and returns the digest
-/// of what *this* plane did — the oracle half of a lockstep comparison.
+/// of what *this* plane did (the WAL replay step).
 pub fn apply_op(plane: &mut crate::ControlPlane, kind: &OpKind) -> OpOutcome {
     match kind {
         OpKind::Request { worker, now } => {
@@ -246,27 +245,6 @@ impl std::fmt::Display for OpDivergence {
             self.index, self.kind, self.recorded, self.oracle
         )
     }
-}
-
-/// Replays a recorded history against `oracle` (typically a freshly built
-/// monolithic plane with the same plan/config), comparing every op's digest.
-/// Returns the first divergence, if any.
-pub fn replay_oplog(
-    ops: &[CoordOp],
-    oracle: &mut crate::ControlPlane,
-) -> Result<(), Box<OpDivergence>> {
-    for (index, op) in ops.iter().enumerate() {
-        let got = apply_op(oracle, &op.kind);
-        if got != op.outcome {
-            return Err(Box::new(OpDivergence {
-                index,
-                kind: op.kind.clone(),
-                recorded: op.outcome.clone(),
-                oracle: got,
-            }));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -311,43 +289,14 @@ mod tests {
         ]
     }
 
-    fn plane(shards: usize) -> ControlPlane {
-        let cfg = FelaConfig::new(2)
-            .with_weights(vec![1, 2])
-            .with_shards(shards);
+    fn plane() -> ControlPlane {
+        let cfg = FelaConfig::new(2).with_weights(vec![1, 2]);
         ControlPlane::new(small_plan(), cfg, meta(), 2, 2)
-    }
-
-    /// Drives one full 2-iteration run on `plane`, recording everything.
-    fn drive(plane: &mut ControlPlane) -> Vec<CoordOp> {
-        plane.enable_op_log();
-        let now = SimTime::ZERO;
-        while !plane.run_complete() {
-            let mut progressed = false;
-            for w in 0..2 {
-                if let Ok(Some(grant)) = plane.request(w, now) {
-                    let syncs = plane.report(w, grant.token.id).expect("report accepted");
-                    for s in syncs {
-                        plane.sync_finished(s.level, s.iteration).expect("sync");
-                    }
-                    progressed = true;
-                }
-            }
-            while let Ok(Some((w, grant))) = plane.pop_ready_grant(now) {
-                let syncs = plane.report(w, grant.token.id).expect("report accepted");
-                for s in syncs {
-                    plane.sync_finished(s.level, s.iteration).expect("sync");
-                }
-                progressed = true;
-            }
-            assert!(progressed, "run must make progress");
-        }
-        plane.take_op_log()
     }
 
     #[test]
     fn recording_is_off_by_default_and_drains_when_on() {
-        let mut p = plane(1);
+        let mut p = plane();
         assert!(!p.op_log_enabled());
         let _ = p.request(0, SimTime::ZERO);
         assert!(p.take_op_log().is_empty());
@@ -357,38 +306,5 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert!(matches!(log[0].kind, OpKind::Request { worker: 1, .. }));
         assert!(p.take_op_log().is_empty(), "take drains");
-    }
-
-    #[test]
-    fn sharded_history_replays_cleanly_against_the_monolithic_oracle() {
-        let mut sharded = plane(2);
-        let ops = drive(&mut sharded);
-        assert!(
-            ops.iter()
-                .any(|op| matches!(op.outcome, OpOutcome::Granted { .. })),
-            "the run must contain grants"
-        );
-        let mut oracle = plane(1);
-        replay_oplog(&ops, &mut oracle).expect("sharded history is linearizable vs the oracle");
-        assert!(oracle.run_complete(), "oracle finishes the same run");
-    }
-
-    #[test]
-    fn a_tampered_outcome_is_pinpointed_by_index() {
-        let mut sharded = plane(2);
-        let mut ops = drive(&mut sharded);
-        let idx = ops
-            .iter()
-            .position(|op| matches!(op.outcome, OpOutcome::Granted { .. }))
-            .expect("some grant");
-        // Pretend the recorded plane granted a different token.
-        if let OpOutcome::Granted { token, .. } = &mut ops[idx].outcome {
-            *token += 1000;
-        }
-        let mut oracle = plane(1);
-        let div = replay_oplog(&ops, &mut oracle).expect_err("tamper must be caught");
-        assert_eq!(div.index, idx);
-        assert!(matches!(div.oracle, OpOutcome::Granted { .. }));
-        assert_ne!(div.recorded, div.oracle);
     }
 }

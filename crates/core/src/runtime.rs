@@ -25,10 +25,9 @@ use fela_sim::{
 };
 
 use crate::config::{FelaConfig, RecoveryConfig};
-use crate::coordinator::ControlPlane;
 use crate::error::ScheduleError;
 use crate::plan::TokenPlan;
-use crate::server::{Grant, LevelMeta, SyncSpec};
+use crate::server::{ControlPlane, Grant, LevelMeta, SyncSpec};
 use crate::token::TokenId;
 use crate::wal::{self, DurabilityOptions, FileWal, MemWal};
 

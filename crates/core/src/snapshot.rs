@@ -1,11 +1,11 @@
 //! Canonical snapshots of control-plane scheduling state.
 //!
 //! A [`ServerSnapshot`] is the byte-exact conformance currency of the control
-//! plane: the sharded [`Coordinator`](crate::Coordinator) is proved against
-//! the monolithic [`TokenServer`](crate::TokenServer) oracle by comparing
-//! snapshots (alongside grants and traces) under random churn, and both planes
-//! can be [restored](crate::TokenServer::restore) from a snapshot plus the
-//! token table, round-tripping bit-identically.
+//! plane: the [`ControlPlane`](crate::ControlPlane) is proved against
+//! `fela-check`'s oracle Token Server by comparing snapshots (alongside grants
+//! and traces) under random churn, and both can be
+//! [restored](crate::ControlPlane::restore) from a snapshot plus the token
+//! table, round-tripping bit-identically.
 
 /// A canonical, totally ordered view of the server's scheduling state.
 ///
@@ -13,8 +13,8 @@
 /// identical future inputs (timing-only state — lock-conflict instants and
 /// counters — is deliberately excluded). `fela-check`'s interleaving explorer
 /// uses snapshots to prune its state space; tests use them to assert replay
-/// equivalence, and the shard-conformance suite compares sharded and
-/// single-server snapshots bit for bit.
+/// equivalence, and the conformance suite compares the production plane's and
+/// the oracle's snapshots bit for bit.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ServerSnapshot {
     /// Iterations whose root tokens have been released.

@@ -154,8 +154,8 @@ pub enum WalError {
     },
     /// The log does not open with a `Begin` record.
     MissingBegin,
-    /// The `Begin` record disagrees with the plane configuration the caller
-    /// is recovering into.
+    /// The `Begin` record disagrees with the plane shape (cluster size,
+    /// iteration count) the caller is recovering into.
     BeginMismatch,
     /// An op record broke the dense sequence chain (dropped, duplicated or
     /// reordered record).
@@ -222,7 +222,7 @@ impl std::fmt::Display for WalError {
             WalError::Malformed { what } => write!(f, "malformed field: {what}"),
             WalError::MissingBegin => write!(f, "log does not open with a Begin record"),
             WalError::BeginMismatch => {
-                write!(f, "Begin record disagrees with the recovering plane's config")
+                write!(f, "Begin record disagrees with the recovering plane's shape")
             }
             WalError::SeqBroken { expected, found } => write!(
                 f,
@@ -968,8 +968,6 @@ pub enum WalRecord {
     /// Opens the log: the plane shape the records describe. Recovery refuses
     /// a log whose `Begin` disagrees with the plane being rebuilt.
     Begin {
-        /// Shard count of the writing plane.
-        shards: u32,
         /// Cluster size.
         n_workers: u32,
         /// Total iterations of the run.
@@ -1012,12 +1010,10 @@ fn encode_body(rec: &WalRecord) -> Vec<u8> {
     let mut body = Vec::new();
     match rec {
         WalRecord::Begin {
-            shards,
             n_workers,
             max_iterations,
         } => {
             put_u8(&mut body, TAG_BEGIN);
-            put_u32(&mut body, *shards);
             put_u32(&mut body, *n_workers);
             put_u64(&mut body, *max_iterations);
         }
@@ -1058,7 +1054,6 @@ fn decode_body(body: &[u8]) -> Result<WalRecord, WalError> {
     let mut c = Cursor::new(body);
     let rec = match c.u8()? {
         TAG_BEGIN => WalRecord::Begin {
-            shards: c.u32()?,
             n_workers: c.u32()?,
             max_iterations: c.u64()?,
         },
@@ -1321,10 +1316,9 @@ impl WalWriter {
     }
 
     /// Stages the opening `Begin` record.
-    pub fn append_begin(&mut self, shards: u32, n_workers: u32, max_iterations: u64) {
+    pub fn append_begin(&mut self, n_workers: u32, max_iterations: u64) {
         self.staged
             .extend_from_slice(&encode_record(&WalRecord::Begin {
-                shards,
                 n_workers,
                 max_iterations,
             }));
@@ -1466,12 +1460,10 @@ pub fn recover(
     };
     match decode_body(first)? {
         WalRecord::Begin {
-            shards,
             n_workers: nw,
             max_iterations: mi,
         } => {
-            let want_shards = cfg.shards.max(1) as u32;
-            if shards != want_shards || nw as usize != n_workers || mi != max_iterations {
+            if nw as usize != n_workers || mi != max_iterations {
                 return Err(WalError::BeginMismatch);
             }
         }
@@ -1830,14 +1822,12 @@ mod tests {
         ]
     }
 
-    fn cfg(shards: usize) -> FelaConfig {
-        FelaConfig::new(2)
-            .with_weights(vec![1, 2])
-            .with_shards(shards)
+    fn cfg() -> FelaConfig {
+        FelaConfig::new(2).with_weights(vec![1, 2])
     }
 
-    fn plane(shards: usize) -> ControlPlane {
-        ControlPlane::new(small_plan(), cfg(shards), meta(), 2, 2)
+    fn plane() -> ControlPlane {
+        ControlPlane::new(small_plan(), cfg(), meta(), 2, 2)
     }
 
     /// Drives a plane to completion (the oplog test loop), recording the
@@ -1881,7 +1871,7 @@ mod tests {
     }
 
     fn sample_snapshot() -> ServerSnapshot {
-        let mut p = plane(1);
+        let mut p = plane();
         let _ = p.request(0, SimTime::ZERO);
         p.snapshot()
     }
@@ -1977,7 +1967,6 @@ mod tests {
         ];
         outcomes.extend(sched_errors.into_iter().map(OpOutcome::Failed));
         let mut records = vec![WalRecord::Begin {
-            shards: 1,
             n_workers: 2,
             max_iterations: 2,
         }];
@@ -2117,22 +2106,20 @@ mod tests {
 
     #[test]
     fn wal_records_the_drive_and_recovers_the_final_plane() {
-        for shards in [1usize, 2] {
-            let mut p = plane(shards);
-            let mem = attach(&mut p);
-            drive(&mut p, None, &mut Vec::new());
-            let rec = recover(&mem.bytes(), p.plan(), p.config(), &meta(), 2, 2)
-                .expect("clean log recovers");
-            assert_eq!(rec.plane.snapshot(), p.snapshot(), "shards={shards}");
-            assert_eq!(rec.plane.tokens(), p.tokens(), "shards={shards}");
-            assert_eq!(rec.torn_bytes, 0);
-            assert!(rec.plane.run_complete());
-        }
+        let mut p = plane();
+        let mem = attach(&mut p);
+        drive(&mut p, None, &mut Vec::new());
+        let rec =
+            recover(&mem.bytes(), p.plan(), p.config(), &meta(), 2, 2).expect("clean log recovers");
+        assert_eq!(rec.plane.snapshot(), p.snapshot());
+        assert_eq!(rec.plane.tokens(), p.tokens());
+        assert_eq!(rec.torn_bytes, 0);
+        assert!(rec.plane.run_complete());
     }
 
     #[test]
     fn checkpoint_skips_the_prefix_on_recovery() {
-        let mut p = plane(1);
+        let mut p = plane();
         let mem = attach(&mut p);
         // Run half the drive, checkpoint, then finish.
         let now = SimTime::ZERO;
@@ -2164,7 +2151,7 @@ mod tests {
 
     #[test]
     fn recovery_rejects_a_log_for_a_different_plane_shape() {
-        let mut p = plane(1);
+        let mut p = plane();
         let mem = attach(&mut p);
         drive(&mut p, None, &mut Vec::new());
         let bytes = mem.bytes();
@@ -2174,9 +2161,9 @@ mod tests {
             "wrong worker count"
         );
         assert_eq!(
-            recover(&bytes, p.plan(), &cfg(2), &meta(), 2, 2).map(|_| ()),
+            recover(&bytes, p.plan(), p.config(), &meta(), 2, 3).map(|_| ()),
             Err(WalError::BeginMismatch),
-            "wrong shard count"
+            "wrong iteration count"
         );
         assert_eq!(
             recover(&[], p.plan(), p.config(), &meta(), 2, 2).map(|_| ()),
@@ -2186,7 +2173,7 @@ mod tests {
 
     #[test]
     fn broken_seq_chains_are_detected() {
-        let mut p = plane(1);
+        let mut p = plane();
         let mem = attach(&mut p);
         drive(&mut p, None, &mut Vec::new());
         let log = read_log(&mem.bytes()).expect("read");
@@ -2226,29 +2213,27 @@ mod tests {
         // recovering the log prefix at *any* commit boundary yields the same
         // snapshot as replaying that prefix from scratch (and at the final
         // boundary, the live plane itself).
-        for shards in [1usize, 2] {
-            let mut p = plane(shards);
-            let mem = attach(&mut p);
-            let mut boundaries = vec![0usize];
-            drive(&mut p, Some(&mem), &mut boundaries);
-            let bytes = mem.bytes();
-            for &b in &boundaries {
-                if b == 0 {
-                    continue;
-                }
-                let rec = recover(&bytes[..b], p.plan(), p.config(), &meta(), 2, 2)
-                    .unwrap_or_else(|e| panic!("boundary {b}: {e}"));
-                assert_eq!(rec.torn_bytes, 0);
+        let mut p = plane();
+        let mem = attach(&mut p);
+        let mut boundaries = vec![0usize];
+        drive(&mut p, Some(&mem), &mut boundaries);
+        let bytes = mem.bytes();
+        for &b in &boundaries {
+            if b == 0 {
+                continue;
             }
-            let full = recover(&bytes, p.plan(), p.config(), &meta(), 2, 2).expect("full");
-            assert_eq!(full.plane.snapshot(), p.snapshot(), "shards={shards}");
+            let rec = recover(&bytes[..b], p.plan(), p.config(), &meta(), 2, 2)
+                .unwrap_or_else(|e| panic!("boundary {b}: {e}"));
+            assert_eq!(rec.torn_bytes, 0);
         }
+        let full = recover(&bytes, p.plan(), p.config(), &meta(), 2, 2).expect("full");
+        assert_eq!(full.plane.snapshot(), p.snapshot());
     }
 
     // ---- elastic logs ----------------------------------------------------
 
     fn plane_n(n_workers: usize) -> ControlPlane {
-        ControlPlane::new(small_plan(), cfg(1), meta(), n_workers, 2)
+        ControlPlane::new(small_plan(), cfg(), meta(), n_workers, 2)
     }
 
     /// One request/report/sync round for every worker that gets a grant.
@@ -2268,7 +2253,7 @@ mod tests {
     fn recover_elastic_resumes_the_latest_epoch_after_a_join() {
         // Epoch 0: two workers run to completion, with a mid-run checkpoint
         // so the superseded segment also carries one.
-        let mut p0 = plane(1);
+        let mut p0 = plane();
         let mem = attach(&mut p0);
         step_workers(&mut p0, 2);
         p0.checkpoint_wal(&[9]).expect("checkpoint");
@@ -2301,7 +2286,7 @@ mod tests {
             Err(WalError::Malformed { .. })
         ));
         let plan = small_plan();
-        let c = cfg(1);
+        let c = cfg();
         let m = meta();
         let shapes = [
             EpochShape {
@@ -2328,7 +2313,7 @@ mod tests {
 
     #[test]
     fn crash_between_resize_and_next_begin_resumes_a_fresh_epoch() {
-        let mut p0 = plane(1);
+        let mut p0 = plane();
         let mem = attach(&mut p0);
         drive(&mut p0, None, &mut Vec::new());
         let mut marker = WalWriter::new(Box::new(mem.clone()));
@@ -2336,7 +2321,7 @@ mod tests {
         marker.commit().expect("commit marker");
         let bytes = mem.bytes();
         let plan = small_plan();
-        let c = cfg(1);
+        let c = cfg();
         let m = meta();
         let shapes = [
             EpochShape {
@@ -2367,12 +2352,12 @@ mod tests {
 
     #[test]
     fn recover_elastic_on_a_single_segment_matches_recover() {
-        let mut p = plane(1);
+        let mut p = plane();
         let mem = attach(&mut p);
         drive(&mut p, None, &mut Vec::new());
         let bytes = mem.bytes();
         let plan = small_plan();
-        let c = cfg(1);
+        let c = cfg();
         let m = meta();
         let shapes = [EpochShape {
             plan: &plan,
@@ -2390,7 +2375,7 @@ mod tests {
 
     #[test]
     fn recover_elastic_rejects_more_segments_than_shapes() {
-        let mut p0 = plane(1);
+        let mut p0 = plane();
         let mem = attach(&mut p0);
         drive(&mut p0, None, &mut Vec::new());
         let mut marker = WalWriter::new(Box::new(mem.clone()));
@@ -2400,7 +2385,7 @@ mod tests {
         p1.attach_wal(Box::new(mem.clone())).expect("attach");
         step_workers(&mut p1, 3);
         let plan = small_plan();
-        let c = cfg(1);
+        let c = cfg();
         let m = meta();
         let shapes = [EpochShape {
             plan: &plan,
@@ -2436,7 +2421,7 @@ mod tests {
         ));
         fs::create_dir_all(&dir).expect("mkdir");
         let path = wal_path(&dir);
-        let mut p = plane(1);
+        let mut p = plane();
         p.attach_wal(Box::new(FileWal::create(&path).expect("create")))
             .expect("attach");
         drive(&mut p, None, &mut Vec::new());
@@ -2510,12 +2495,9 @@ mod tests {
 
     fn arb_record() -> impl Strategy<Value = WalRecord> {
         prop_oneof![
-            (any::<u32>(), any::<u32>(), any::<u64>()).prop_map(|(shards, n_workers, mi)| {
-                WalRecord::Begin {
-                    shards,
-                    n_workers,
-                    max_iterations: mi,
-                }
+            (any::<u32>(), any::<u64>()).prop_map(|(n_workers, mi)| WalRecord::Begin {
+                n_workers,
+                max_iterations: mi,
             }),
             (any::<u64>(), arb_op()).prop_map(|(seq, op)| WalRecord::Op { seq, op }),
             (any::<u64>(), any::<u32>()).prop_map(|(iteration, n_workers)| WalRecord::Resize {
@@ -2549,7 +2531,7 @@ mod tests {
         fn recover_never_panics_on_arbitrary_bytes(
             bytes in prop::collection::vec(any::<u8>(), 0..512)
         ) {
-            let p = plane(1);
+            let p = plane();
             let _ = recover(&bytes, p.plan(), p.config(), &meta(), 2, 2);
         }
 
@@ -2558,7 +2540,7 @@ mod tests {
             bytes in prop::collection::vec(any::<u8>(), 0..512)
         ) {
             let plan = small_plan();
-            let c = cfg(1);
+            let c = cfg();
             let m = meta();
             let shapes = [EpochShape {
                 plan: &plan,
@@ -2582,13 +2564,12 @@ mod tests {
         fn crash_at_random_offset_recovers_the_committed_prefix(
             pick in any::<u64>(),
             cut_back in 0usize..8,
-            shards in 1usize..3,
             checkpoint_every in 0u64..3
         ) {
             // checkpoint → crash at a random log offset → replay must yield
             // a snapshot byte-equal to the uninterrupted plane at that
-            // boundary — on both the monolithic and the sharded plane.
-            let mut p = plane(shards);
+            // boundary.
+            let mut p = plane();
             let mem = attach(&mut p);
             let mut boundaries = vec![mem.len()];
             let now = SimTime::ZERO;

@@ -15,8 +15,8 @@
 //!   wire ([`fela_core::ComputeBackend`]). Traces and reports are
 //!   **byte-identical** to the simulator, so `fela-check`'s race detector and
 //!   recovery verifier run unchanged on live output. Deterministic.
-//! * **Real** ([`run_real`]) — the server drives [`fela_core::TokenServer`]
-//!   against the wall clock: workers pull tokens, sleep the modeled span
+//! * **Real** ([`run_real`]) — the server drives the production
+//!   [`fela_core::ControlPlane`] against the wall clock: workers pull tokens, sleep the modeled span
 //!   scaled by `time_scale`, and report; leases, crash/restart injection and
 //!   hang faults run off real timers. Nondeterministic interleavings — but
 //!   final model parameters are still bit-exact (see below).

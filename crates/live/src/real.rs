@@ -1,13 +1,14 @@
 //! Real-clock live runs: the Token Server as a wall-clock service.
 //!
-//! Unlike virtual mode (which *is* the simulator), real mode drives
-//! [`TokenServer`] directly: worker threads pull tokens over the wire, sleep
+//! Unlike virtual mode (which *is* the simulator), real mode drives the
+//! [`ControlPlane`] directly — the same plane every simulated run holds —
+//! from its own event loop: worker threads pull tokens over the wire, sleep
 //! the modeled compute span scaled by `time_scale`, and report; the server
 //! maps real elapsed nanoseconds onto [`SimTime`] for the scheduling policies
 //! and runs leases, faults and restarts off a wall-clock timer heap. Data
 //! movement is not emulated — this is a **control-plane** runtime: parameter
 //! syncs commit degenerately the moment a level's last report lands
-//! ([`TokenServer::sync_finished`] immediately), so the measured quantity is
+//! ([`ControlPlane::sync_finished`] immediately), so the measured quantity is
 //! pure token-protocol throughput.
 //!
 //! Model training is still exact: accepted reports are logged server-side,

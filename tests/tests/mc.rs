@@ -8,8 +8,8 @@
 //! and seeded wire mutations on that *live* trace must still be caught.
 
 use fela_check::{
-    model_check, mutate_events, record_execution, run_mutation_matrix, verify_session, McConfig,
-    WireMutation,
+    model_check, model_check_oracle, mutate_events, record_execution, run_mutation_matrix,
+    verify_session, McConfig, WireMutation,
 };
 use fela_cluster::{ClusterSpec, Scenario};
 use fela_core::{FelaConfig, FelaRuntime};
@@ -21,9 +21,9 @@ use fela_model::zoo;
 
 #[test]
 fn the_acceptance_configuration_is_exhaustively_clean() {
-    // ISSUE acceptance: 2 workers × 2 shards × 2 iterations, every
-    // non-equivalent interleaving, zero deadlocks, zero lost wakeups, all
-    // histories linearizable against the monolithic oracle.
+    // 2 workers × 2 iterations, every non-equivalent interleaving, zero
+    // deadlocks, zero lost wakeups, all histories linearizable against the
+    // oracle Token Server.
     let outcome = model_check(&McConfig::small());
     assert!(outcome.ok(), "violations: {:?}", outcome.violations);
     assert!(outcome.states > 0 && outcome.terminals > 0);
@@ -31,16 +31,19 @@ fn the_acceptance_configuration_is_exhaustively_clean() {
 }
 
 #[test]
-fn sharding_does_not_change_the_explored_schedule_space() {
-    // The sharded coordinator must be observationally equivalent to the
-    // monolithic token server: same reachable states, same transitions, same
-    // terminal count — not merely "also clean".
-    let mono = model_check(&McConfig::small().with_shards(1));
-    let sharded = model_check(&McConfig::small().with_shards(2));
-    assert!(mono.ok() && sharded.ok());
-    assert_eq!(mono.states, sharded.states);
-    assert_eq!(mono.transitions, sharded.transitions);
-    assert_eq!(mono.terminals, sharded.terminals);
+fn the_production_plane_explores_the_oracles_schedule_space() {
+    // The production plane must be observationally equivalent to the oracle
+    // Token Server explored on its own: same reachable states, same
+    // transitions, same terminal count — not merely "also clean".
+    for cfg in [McConfig::small(), McConfig::small().with_recovery()] {
+        let oracle = model_check_oracle(&cfg);
+        let plane = model_check(&cfg);
+        assert!(oracle.ok() && plane.ok());
+        assert_eq!(oracle.states, plane.states);
+        assert_eq!(oracle.transitions, plane.transitions);
+        assert_eq!(oracle.terminals, plane.terminals);
+        assert_eq!(oracle.lease_fires, plane.lease_fires);
+    }
 }
 
 #[test]
@@ -75,13 +78,11 @@ fn the_mutation_matrix_is_caught_with_distinct_diagnostics() {
 
 #[test]
 fn recorded_model_executions_are_session_clean() {
-    for shards in [1usize, 2] {
-        let (events, ops) = record_execution(&McConfig::small().with_shards(shards));
-        assert!(!events.is_empty() && !ops.is_empty());
-        let report = verify_session(&events, Some(&ops));
-        assert!(report.ok(), "shards {shards}: {:?}", report.violations);
-        assert_eq!(report.links, 2);
-    }
+    let (events, ops) = record_execution(&McConfig::small());
+    assert!(!events.is_empty() && !ops.is_empty());
+    let report = verify_session(&events, Some(&ops));
+    assert!(report.ok(), "{:?}", report.violations);
+    assert_eq!(report.links, 2);
 }
 
 /// A real threaded virtual-clock run over the in-process channel transport,

@@ -1,26 +1,29 @@
-//! Shard-conformance suite: the sharded [`Coordinator`] is proved against the
-//! monolithic [`TokenServer`] oracle.
+//! Conformance suite: the production [`ControlPlane`] is proved against
+//! `fela-check`'s oracle [`TokenServer`] — the original scan-based Token
+//! Server, kept only as the reference.
 //!
 //! Three layers of evidence, mirroring how `IncrementalMaxMin` was proved
 //! against `max_min_rates`:
 //!
-//! 1. **Lockstep churn** — both planes consume an identical random operation
-//!    stream (requests, reports, syncs, crashes, restarts, lease expiries)
-//!    across the policy matrix; every grant, sync spec, error and final
-//!    [`ServerSnapshot`] must compare bit-for-bit.
-//! 2. **Full-run byte identity** — complete simulated runs on zoo scenarios
-//!    (including a faulted one) produce identical report JSON and
-//!    event-for-event identical traces for `shards = 1` and `shards = k`.
+//! 1. **Lockstep churn** — both consume an identical random operation stream
+//!    (requests, reports, syncs, crashes, restarts, lease expiries) across the
+//!    policy matrix; every grant, sync spec, error and final
+//!    [`ServerSnapshot`](fela_core::ServerSnapshot) must compare bit-for-bit.
+//! 2. **Full runs** — complete simulated runs on zoo scenarios (including a
+//!    faulted one) write a WAL; every logged operation and checkpoint must
+//!    replay identically on the oracle, and the runs' traces must pass the
+//!    race and recovery checkers.
 //! 3. **Snapshot round-trips** — snapshot → restore → snapshot is
-//!    bit-identical on both planes, and a restored plane *continues*
-//!    identically to the original under the same suffix of operations.
+//!    bit-identical on both, and a restored pair *continues* identically to
+//!    the original under the same suffix of operations.
 
 use std::collections::BTreeMap;
 
+use fela_check::TokenServer;
 use fela_cluster::{FaultModel, Scenario};
 use fela_core::{
-    Coordinator, FelaConfig, FelaRuntime, LevelMeta, RecoveryConfig, TokenId, TokenPlan,
-    TokenServer,
+    wal_path, ControlPlane, DurabilityOptions, FelaConfig, FelaRuntime, LevelMeta, RecoveryConfig,
+    TokenId, TokenPlan,
 };
 use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
 use fela_sim::{SimDuration, SimTime};
@@ -51,12 +54,11 @@ fn vgg_inputs(cfg: &FelaConfig) -> (TokenPlan, Vec<LevelMeta>) {
     (plan, meta)
 }
 
-fn build_cfg(hf: bool, ads: bool, ctd: bool, recovery: bool, shards: usize) -> FelaConfig {
+fn build_cfg(hf: bool, ads: bool, ctd: bool, recovery: bool) -> FelaConfig {
     let mut cfg = FelaConfig::new(3)
         .with_weights(vec![1, 2, 4])
         .with_ads(ads)
-        .with_hf(hf)
-        .with_shards(shards);
+        .with_hf(hf);
     if ctd {
         cfg = cfg.with_ctd(4);
     }
@@ -66,7 +68,7 @@ fn build_cfg(hf: bool, ads: bool, ctd: bool, recovery: bool, shards: usize) -> F
     cfg
 }
 
-/// Driver bookkeeping shared by both planes of a lockstep pair. Updated from
+/// Driver bookkeeping shared by both sides of a lockstep pair. Updated from
 /// the first plane's results (the second must match bit-for-bit anyway).
 struct Churn {
     /// Granted-but-unreported tokens: `(worker, token, attempt at grant)`.
@@ -94,7 +96,7 @@ impl Churn {
 }
 
 /// One lockstep operation applied to two planes (any mix of `TokenServer` /
-/// `Coordinator` — the APIs are identical, so a macro covers all pairings).
+/// `ControlPlane` — the APIs are identical, so a macro covers all pairings).
 /// Asserts bit-equality of results and updates the shared driver state.
 macro_rules! lockstep_op {
     ($a:expr, $b:expr, $st:expr, $action:expr, $pick:expr, $dt:expr) => {{
@@ -188,12 +190,11 @@ macro_rules! lockstep_op {
 }
 
 proptest! {
-    /// Oracle vs sharded coordinator under random churn across the policy
+    /// Oracle vs production plane under random churn across the policy
     /// matrix: every grant, sync, error, liveness transition and the final
     /// snapshot must be bit-identical.
     #[test]
-    fn sharded_plane_matches_oracle_under_churn(
-        shards in 2usize..4,
+    fn plane_matches_oracle_under_churn(
         hf in 0u8..2,
         ads in 0u8..2,
         ctd in 0u8..2,
@@ -203,55 +204,53 @@ proptest! {
             1..120,
         ),
     ) {
-        let cfg = build_cfg(hf == 1, ads == 1, ctd == 1, recovery == 1, shards);
+        let cfg = build_cfg(hf == 1, ads == 1, ctd == 1, recovery == 1);
         let (plan, meta) = vgg_inputs(&cfg);
         let mut oracle =
             TokenServer::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
-        let mut sharded = Coordinator::new(plan, cfg, meta, N_WORKERS, ITERATIONS);
-        prop_assert_eq!(sharded.shard_count(), shards.min(3));
+        let mut plane = ControlPlane::new(plan, cfg, meta, N_WORKERS, ITERATIONS);
         let mut st = Churn::new();
         for &(action, pick, dt) in &ops {
-            lockstep_op!(oracle, sharded, st, action, pick, dt);
+            lockstep_op!(oracle, plane, st, action, pick, dt);
         }
-        prop_assert_eq!(oracle.snapshot(), sharded.snapshot());
+        prop_assert_eq!(oracle.snapshot(), plane.snapshot());
         prop_assert_eq!(
             format!("{:?}", oracle.stats()),
-            format!("{:?}", sharded.stats())
+            format!("{:?}", plane.stats())
         );
-        prop_assert_eq!(oracle.trained_per_worker(), sharded.trained_per_worker());
+        prop_assert_eq!(oracle.trained_per_worker(), plane.trained_per_worker());
         prop_assert_eq!(
             oracle.completed_iterations(),
-            sharded.completed_iterations()
+            plane.completed_iterations()
         );
     }
 
-    /// Snapshot → restore → snapshot round-trips bit-identically on *both*
-    /// planes, and the restored pair continues exactly like the original under
-    /// the same operation suffix (timing-only conflict state excluded: suffix
-    /// steps outlast the lock window).
+    /// Snapshot → restore → snapshot round-trips bit-identically on the
+    /// oracle and the plane, and the restored pair continues exactly like the
+    /// original under the same operation suffix (timing-only conflict state
+    /// excluded: suffix steps outlast the lock window).
     #[test]
     fn snapshot_round_trips_and_continues_identically(
-        shards in 2usize..4,
         hf in 0u8..2,
         recovery in 0u8..2,
         prefix in prop::collection::vec((0u8..6, 0usize..64), 1..60),
         suffix in prop::collection::vec((0u8..6, 0usize..64), 1..40),
     ) {
-        let cfg = build_cfg(hf == 1, true, false, recovery == 1, shards);
+        let cfg = build_cfg(hf == 1, true, false, recovery == 1);
         let (plan, meta) = vgg_inputs(&cfg);
         let mut oracle =
             TokenServer::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
-        let mut sharded =
-            Coordinator::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
+        let mut plane =
+            ControlPlane::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, ITERATIONS);
         // Steps outlast the 5 ms lock window so no grant ever conflicts:
         // `last_grant_at` is deliberately absent from snapshots.
         const DT: u64 = 10_000_000;
         let mut st = Churn::new();
         for &(action, pick) in &prefix {
-            lockstep_op!(oracle, sharded, st, action, pick, DT);
+            lockstep_op!(oracle, plane, st, action, pick, DT);
         }
         let snap = oracle.snapshot();
-        prop_assert_eq!(&snap, &sharded.snapshot());
+        prop_assert_eq!(&snap, &plane.snapshot());
 
         let mut restored_oracle = TokenServer::restore(
             plan.clone(),
@@ -264,17 +263,17 @@ proptest! {
         )
         .expect("oracle restore");
         prop_assert_eq!(&restored_oracle.snapshot(), &snap, "oracle round-trip");
-        let mut restored_sharded = Coordinator::restore(
+        let mut restored_plane = ControlPlane::restore(
             plan,
             cfg,
             meta,
             N_WORKERS,
             ITERATIONS,
-            sharded.tokens().clone(),
+            plane.tokens().clone(),
             &snap,
         )
-        .expect("sharded restore");
-        prop_assert_eq!(&restored_sharded.snapshot(), &snap, "sharded round-trip");
+        .expect("plane restore");
+        prop_assert_eq!(&restored_plane.snapshot(), &snap, "plane round-trip");
 
         // Continuation: the restored pair must replay the original pair's
         // future behaviour op for op.
@@ -283,17 +282,17 @@ proptest! {
         let mut rest = Churn::new();
         rest.clock = st.clock;
         for &(action, pick) in &suffix {
-            lockstep_op!(oracle, sharded, orig, action, pick, DT);
-            lockstep_op!(restored_oracle, restored_sharded, rest, action, pick, DT);
+            lockstep_op!(oracle, plane, orig, action, pick, DT);
+            lockstep_op!(restored_oracle, restored_plane, rest, action, pick, DT);
         }
         prop_assert_eq!(&orig.log, &rest.log, "restored continuation diverged");
         prop_assert_eq!(oracle.snapshot(), restored_oracle.snapshot());
-        prop_assert_eq!(sharded.snapshot(), restored_sharded.snapshot());
+        prop_assert_eq!(plane.snapshot(), restored_plane.snapshot());
     }
 }
 
-/// The zoo configurations the CI `shard-conformance` job byte-diffs, one of
-/// them faulted (crash + restart mid-run).
+/// The zoo configurations the full-run conformance test drives, one of them
+/// faulted (crash + restart mid-run).
 fn conformance_scenarios() -> Vec<(&'static str, FelaConfig, Scenario)> {
     let fault = FaultModel::Scripted {
         worker: 2,
@@ -323,43 +322,74 @@ fn conformance_scenarios() -> Vec<(&'static str, FelaConfig, Scenario)> {
     ]
 }
 
-/// Complete simulated runs are byte-identical between the monolithic and
-/// sharded planes: same report JSON (makespan bits included), same trace
-/// event for event — on every conformance scenario, including the faulted one.
+/// Complete simulated runs replay on the oracle: every control-plane
+/// operation of a run — logged to its WAL with a checkpoint per iteration —
+/// yields the same outcome on the oracle, every checkpoint equals the
+/// oracle's state at that point byte for byte, and each token is applied
+/// exactly once. (The `sharded_` prefix names the level-range-sharded plane
+/// this suite first proved; that plane is now the one production plane.)
 #[test]
 fn sharded_full_runs_are_byte_identical_to_oracle() {
     for (name, cfg, sc) in conformance_scenarios() {
-        let (report1, trace1) = FelaRuntime::new(cfg.clone()).run_traced(&sc);
-        for shards in [2usize, 3] {
-            let sharded_cfg = cfg.clone().with_shards(shards);
-            let (report_k, trace_k) = FelaRuntime::new(sharded_cfg).run_traced(&sc);
-            assert_eq!(
-                serde_json::to_string(&report1).expect("report json"),
-                serde_json::to_string(&report_k).expect("report json"),
-                "{name}: report bytes diverged at shards={shards}"
-            );
-            assert_eq!(
-                trace1.events(),
-                trace_k.events(),
-                "{name}: trace diverged at shards={shards}"
-            );
-        }
+        let dir =
+            std::env::temp_dir().join(format!("fela-conformance-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runtime = FelaRuntime::new(cfg.clone()).with_durability(DurabilityOptions {
+            wal_dir: Some(dir.clone()),
+            checkpoint_every: 1,
+        });
+        let _ = runtime.run_traced(&sc);
+        let bytes = std::fs::read(wal_path(&dir)).expect("the run wrote its WAL");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The plane the runtime built: faults imply lease-based recovery.
+        let effective = effective_cfg(&cfg, &sc);
+        let partition = runtime.partition_for(&sc);
+        let plan = TokenPlan::build(&partition, &effective, sc.total_batch, sc.cluster.nodes)
+            .expect("plan");
+        let meta: Vec<LevelMeta> = partition
+            .sub_models()
+            .iter()
+            .map(|s| LevelMeta {
+                param_bytes: s.param_bytes,
+                output_bytes_per_sample: s.output_bytes_per_sample,
+                input_bytes_per_sample: s.input_bytes_per_sample,
+                comm_intensive: s.comm_intensive,
+            })
+            .collect();
+        let wal = fela_check::check_wal(
+            &bytes,
+            &plan,
+            &effective,
+            &meta,
+            sc.cluster.nodes,
+            sc.iterations,
+            None,
+        )
+        .unwrap_or_else(|v| panic!("{name}: the oracle rejected the run's log: {v:?}"));
+        assert_eq!(
+            wal.applied as u64,
+            plan.tokens_per_iteration() * sc.iterations,
+            "{name}: every token applied exactly once"
+        );
+        assert_eq!(wal.checkpoints as u64, sc.iterations, "{name}");
     }
 }
 
-/// `fela-check` applies to sharded traces unchanged: the race detector and
-/// the recovery verifier were written against single-server traces, and byte
-/// conformance means they accept sharded ones as-is.
+/// `fela-check` applies to the production plane's traces unchanged: the race
+/// detector and the recovery verifier were written against the oracle's
+/// single-server traces, and conformance means they accept the plane's
+/// full-run traces as-is.
 #[test]
 fn fela_check_accepts_sharded_traces_unchanged() {
     for (name, cfg, sc) in conformance_scenarios() {
-        let staleness = cfg.staleness;
-        let (_, trace) = FelaRuntime::new(cfg.with_shards(3)).run_traced(&sc);
+        let staleness = effective_cfg(&cfg, &sc).staleness;
+        let (_, trace) = FelaRuntime::new(cfg).run_traced(&sc);
         let summary = fela_check::check_trace(&trace, staleness)
-            .unwrap_or_else(|v| panic!("{name}: race check rejected a sharded trace: {v:?}"));
-        assert!(summary.grants > 0, "{name}: sharded trace carries grants");
+            .unwrap_or_else(|v| panic!("{name}: race check rejected the trace: {v:?}"));
+        assert!(summary.grants > 0, "{name}: the trace carries grants");
         let recovery = fela_check::check_recovery(&trace)
-            .unwrap_or_else(|v| panic!("{name}: recovery check rejected a sharded trace: {v:?}"));
+            .unwrap_or_else(|v| panic!("{name}: recovery check rejected the trace: {v:?}"));
         assert_eq!(
             recovery.applied, summary.completions,
             "{name}: every completion applied exactly once"
@@ -367,13 +397,23 @@ fn fela_check_accepts_sharded_traces_unchanged() {
     }
 }
 
+/// The configuration the runtime's plane runs under: faults imply
+/// lease-based recovery.
+fn effective_cfg(cfg: &FelaConfig, sc: &Scenario) -> FelaConfig {
+    let mut effective = cfg.clone();
+    if !sc.fault.is_none() && effective.recovery.is_none() {
+        effective.recovery = Some(RecoveryConfig::default());
+    }
+    effective
+}
+
 /// The restore path rejects nothing it produced: a snapshot taken mid-run on
-/// a faulted scenario still restores on both planes. (Deterministic spot
+/// a faulted scenario still restores on both the oracle and the plane. (Deterministic spot
 /// check complementing the proptest above: exercises parked tokens and
 /// quarantine state reached through the full simulator.)
 #[test]
 fn faulted_mid_run_snapshot_restores_on_both_planes() {
-    let cfg = build_cfg(true, true, false, true, 3);
+    let cfg = build_cfg(true, true, false, true);
     let (plan, meta) = vgg_inputs(&cfg);
     let mut oracle = TokenServer::new(
         plan.clone(),
@@ -382,18 +422,18 @@ fn faulted_mid_run_snapshot_restores_on_both_planes() {
         N_WORKERS,
         ITERATIONS,
     );
-    let mut sharded = Coordinator::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, 4);
+    let mut plane = ControlPlane::new(plan.clone(), cfg.clone(), meta.clone(), N_WORKERS, 4);
     let mut st = Churn::new();
     // Grant a round, crash two workers (one holding leases), expire a lease.
     for w in 0..N_WORKERS {
-        lockstep_op!(oracle, sharded, st, 0, w, 10_000_000);
+        lockstep_op!(oracle, plane, st, 0, w, 10_000_000);
     }
-    lockstep_op!(oracle, sharded, st, 3, 2, 10_000_000);
-    lockstep_op!(oracle, sharded, st, 3, 5, 10_000_000);
-    lockstep_op!(oracle, sharded, st, 4, 0, 10_000_000);
-    lockstep_op!(oracle, sharded, st, 1, 1, 10_000_000);
+    lockstep_op!(oracle, plane, st, 3, 2, 10_000_000);
+    lockstep_op!(oracle, plane, st, 3, 5, 10_000_000);
+    lockstep_op!(oracle, plane, st, 4, 0, 10_000_000);
+    lockstep_op!(oracle, plane, st, 1, 1, 10_000_000);
     let snap = oracle.snapshot();
-    assert_eq!(&snap, &sharded.snapshot());
+    assert_eq!(&snap, &plane.snapshot());
     let tokens: BTreeMap<TokenId, _> = oracle.tokens().clone();
     let r1 = TokenServer::restore(
         plan.clone(),
@@ -405,8 +445,8 @@ fn faulted_mid_run_snapshot_restores_on_both_planes() {
         &snap,
     )
     .expect("oracle restore");
-    let r2 = Coordinator::restore(plan, cfg, meta, N_WORKERS, ITERATIONS, tokens, &snap)
-        .expect("sharded restore");
+    let r2 = ControlPlane::restore(plan, cfg, meta, N_WORKERS, ITERATIONS, tokens, &snap)
+        .expect("plane restore");
     assert_eq!(r1.snapshot(), snap);
     assert_eq!(r2.snapshot(), snap);
 }
@@ -443,55 +483,53 @@ macro_rules! starve_then_release {
 
 /// The batched grant path (`drain_ready_grants`) must be observably identical
 /// to the one-at-a-time `pop_ready_grant`-until-`None` loop — same grants in
-/// the same order, same stats — on both the oracle and the sharded plane.
+/// the same order, same stats — on both the oracle and the plane.
 #[test]
 fn drain_ready_grants_matches_repeated_pop_on_both_planes() {
-    for shards in [1usize, 3] {
-        let cfg = build_cfg(true, true, false, false, shards);
-        let (plan, meta) = vgg_inputs(&cfg);
-        let mut drained = Coordinator::new(
-            plan.clone(),
-            cfg.clone(),
-            meta.clone(),
-            N_WORKERS,
-            ITERATIONS,
-        );
-        let mut popped = Coordinator::new(
-            plan.clone(),
-            cfg.clone(),
-            meta.clone(),
-            N_WORKERS,
-            ITERATIONS,
-        );
-        let mut oracle = TokenServer::new(plan, cfg, meta, N_WORKERS, ITERATIONS);
+    let cfg = build_cfg(true, true, false, false);
+    let (plan, meta) = vgg_inputs(&cfg);
+    let mut drained = ControlPlane::new(
+        plan.clone(),
+        cfg.clone(),
+        meta.clone(),
+        N_WORKERS,
+        ITERATIONS,
+    );
+    let mut popped = ControlPlane::new(
+        plan.clone(),
+        cfg.clone(),
+        meta.clone(),
+        N_WORKERS,
+        ITERATIONS,
+    );
+    let mut oracle = TokenServer::new(plan, cfg, meta, N_WORKERS, ITERATIONS);
 
-        let clock = starve_then_release!(drained);
-        assert_eq!(clock, starve_then_release!(popped));
-        assert_eq!(clock, starve_then_release!(oracle));
-        let now = SimTime::from_nanos(clock);
+    let clock = starve_then_release!(drained);
+    assert_eq!(clock, starve_then_release!(popped));
+    assert_eq!(clock, starve_then_release!(oracle));
+    let now = SimTime::from_nanos(clock);
 
-        let mut batch = Vec::new();
-        drained.drain_ready_grants(now, &mut batch).expect("drain");
-        let mut singles = Vec::new();
-        while let Some(pair) = popped.pop_ready_grant(now).expect("pop") {
-            singles.push(pair);
-        }
-        let mut oracle_batch = Vec::new();
-        oracle
-            .drain_ready_grants(now, &mut oracle_batch)
-            .expect("oracle drain");
-
-        assert!(
-            !batch.is_empty(),
-            "the scenario must exercise a non-empty drain (shards = {shards})"
-        );
-        assert_eq!(format!("{batch:?}"), format!("{singles:?}"));
-        assert_eq!(format!("{batch:?}"), format!("{oracle_batch:?}"));
-        assert_eq!(
-            format!("{:?}", drained.stats()),
-            format!("{:?}", popped.stats()),
-            "stats must not diverge between the batched and single-pop paths"
-        );
-        assert_eq!(drained.snapshot(), popped.snapshot());
+    let mut batch = Vec::new();
+    drained.drain_ready_grants(now, &mut batch).expect("drain");
+    let mut singles = Vec::new();
+    while let Some(pair) = popped.pop_ready_grant(now).expect("pop") {
+        singles.push(pair);
     }
+    let mut oracle_batch = Vec::new();
+    oracle
+        .drain_ready_grants(now, &mut oracle_batch)
+        .expect("oracle drain");
+
+    assert!(
+        !batch.is_empty(),
+        "the scenario must exercise a non-empty drain"
+    );
+    assert_eq!(format!("{batch:?}"), format!("{singles:?}"));
+    assert_eq!(format!("{batch:?}"), format!("{oracle_batch:?}"));
+    assert_eq!(
+        format!("{:?}", drained.stats()),
+        format!("{:?}", popped.stats()),
+        "stats must not diverge between the batched and single-pop paths"
+    );
+    assert_eq!(drained.snapshot(), popped.snapshot());
 }
