@@ -12,11 +12,18 @@
 //! (proved in `tests/tests/shard.rs`), making this a like-for-like cost
 //! comparison.
 //!
+//! `control/plane_skewed_levels_{1000,4000}iters` measures what the BSP
+//! drive cannot see: a whole run in which level 0 runs ahead of the deeper
+//! levels, whose SSP-gated `pending` backlog then grows with the run. It is
+//! reported in ns per token, so a flat pair means a sync's cost follows the
+//! tokens it releases rather than the backlog.
+//!
 //! Run with `FELA_BENCH_DIR=<dir>` to emit `BENCH_control_plane_scaling.json`;
 //! `FELA_BENCH_QUICK=1` shortens the measurement for CI smoke runs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use fela_check::TokenServer;
 use fela_core::{ControlPlane, FelaConfig, LevelMeta, TokenPlan};
@@ -32,6 +39,16 @@ const PAIRED_WORKER_COUNTS: [usize; 3] = [64, 256, 1024];
 /// Worker counts measured for the production plane only, past where the
 /// oracle is practical.
 const PLANE_ONLY_WORKER_COUNTS: [usize; 2] = [4096, 8192];
+
+/// Run lengths of the skewed-level drive.
+const SKEWED_ITERATIONS: [u64; 2] = [1000, 4000];
+/// Cluster size and SSP staleness of the skewed-level drive (the staleness
+/// of the live overhead-only configuration).
+const SKEWED_WORKERS: usize = 8;
+const SKEWED_STALENESS: u64 = 8;
+/// Deeper levels finish their two oldest held syncs once per this many
+/// level-0 syncs.
+const SKEW_PACE: u64 = 4;
 
 /// The shared inputs: VGG19 on the k40c profile, weights `[1, 2, 4]`.
 fn inputs(workers: usize) -> (TokenPlan, FelaConfig, Vec<LevelMeta>) {
@@ -101,6 +118,78 @@ macro_rules! drive_one_iteration {
     }};
 }
 
+/// One whole run with level 0 ahead: worker 0 pulls every grantable token
+/// and reports the batch; level-0 syncs finish at once, deeper syncs are
+/// held and the two oldest finish once per `SKEW_PACE` level-0 syncs (all of
+/// them once nothing is grantable), so the deeper levels lag further as the
+/// run goes on. Returns the tokens reported.
+fn drive_skewed_run(plane: &mut ControlPlane) -> u64 {
+    let mut clock = 0u64;
+    let mut held: Vec<(usize, u64)> = Vec::new();
+    let mut level0_syncs = 0u64;
+    let mut reported = 0u64;
+    loop {
+        clock += 1_000;
+        let now = SimTime::from_nanos(clock);
+        let mut batch = Vec::new();
+        while let Some(g) = plane.request(0, now).unwrap() {
+            batch.push((0, g.token.id));
+        }
+        while let Some((w, g)) = plane.pop_ready_grant(now).unwrap() {
+            batch.push((w, g.token.id));
+        }
+        if batch.is_empty() {
+            if held.is_empty() {
+                return reported;
+            }
+            while let Some((level, iteration)) = held.pop() {
+                plane.sync_finished(level, iteration).unwrap();
+            }
+            continue;
+        }
+        for (w, id) in batch.into_iter().rev() {
+            reported += 1;
+            for s in plane.report(w, id).unwrap() {
+                if s.level > 0 {
+                    held.push((s.level, s.iteration));
+                    continue;
+                }
+                plane.sync_finished(0, s.iteration).unwrap();
+                level0_syncs += 1;
+                if level0_syncs % SKEW_PACE == 0 {
+                    let k = held.len().min(2);
+                    for (level, iteration) in held.drain(..k).rev() {
+                        plane.sync_finished(level, iteration).unwrap();
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Total of the per-run ns-per-token figures over `runs` skewed runs, so
+/// the shim's per-iteration mean is ns per token.
+fn time_skewed_runs(iterations: u64, runs: u64) -> Duration {
+    let (plan, _, meta) = inputs(SKEWED_WORKERS);
+    let cfg = FelaConfig::new(3)
+        .with_weights(vec![1, 2, 4])
+        .with_staleness(SKEWED_STALENESS);
+    let mut total = Duration::ZERO;
+    for _ in 0..runs {
+        let mut plane = ControlPlane::new(
+            plan.clone(),
+            cfg.clone(),
+            meta.clone(),
+            SKEWED_WORKERS,
+            iterations,
+        );
+        let start = Instant::now();
+        let tokens = black_box(drive_skewed_run(&mut plane));
+        total += start.elapsed() / tokens as u32;
+    }
+    total
+}
+
 fn bench_control_plane_scaling(c: &mut Criterion) {
     for workers in PAIRED_WORKER_COUNTS {
         c.bench_function(
@@ -129,6 +218,12 @@ fn bench_control_plane_scaling(c: &mut Criterion) {
                 BatchSize::SmallInput,
             )
         });
+    }
+    for iterations in SKEWED_ITERATIONS {
+        c.bench_function(
+            &format!("control/plane_skewed_levels_{iterations}iters"),
+            |b| b.iter_custom(|runs| time_skewed_runs(iterations, runs)),
+        );
     }
 }
 

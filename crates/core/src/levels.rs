@@ -31,9 +31,14 @@ pub(crate) struct LevelState {
     /// Generation groups accumulating per iteration (completion order within an
     /// iteration, as in Figure 3).
     pub(crate) gen_buffer: BTreeMap<u64, Vec<TokenId>>,
-    /// Generated tokens gated on this level's sync/staleness bound: `(token id,
-    /// preferred bucket)`.
-    pub(crate) pending: VecDeque<(TokenId, usize)>,
+    /// Generated tokens gated on this level's sync/staleness bound, keyed by
+    /// iteration: `iteration → [(token id, preferred bucket)]`. A sync
+    /// releases every iteration at or below the new bound with one
+    /// `split_off`, so its cost follows the tokens released, not the tokens
+    /// parked. Release order is ascending token id — the order a FIFO queue
+    /// of all parked tokens yields, since ids are minted in generation order
+    /// and entries are appended at generation.
+    pending: BTreeMap<u64, Vec<(TokenId, usize)>>,
     /// Tokens generated so far per iteration at this level (levels ≥ 1 only).
     /// Replaces an O(all tokens) scan for `seq` assignment: level ≥ 1 tokens
     /// are created nowhere else, so the counter equals the scan.
@@ -47,7 +52,7 @@ impl LevelState {
             synced_out_of_order: BTreeSet::new(),
             completed: BTreeMap::new(),
             gen_buffer: BTreeMap::new(),
-            pending: VecDeque::new(),
+            pending: BTreeMap::new(),
             generated: BTreeMap::new(),
         }
     }
@@ -55,6 +60,39 @@ impl LevelState {
     /// Highest iteration whose tokens may currently run at this level.
     pub(crate) fn release_bound(&self, staleness: u64) -> u64 {
         self.synced_upto + staleness
+    }
+
+    /// Parks a generated token until its iteration falls within the bound.
+    pub(crate) fn park(&mut self, iteration: u64, id: TokenId, bucket: usize) {
+        self.pending
+            .entry(iteration)
+            .or_default()
+            .push((id, bucket));
+    }
+
+    /// Takes every parked token of an iteration at or below `bound`, in
+    /// ascending id order.
+    pub(crate) fn release_through(&mut self, bound: u64) -> Vec<(TokenId, usize)> {
+        let rest = match bound.checked_add(1) {
+            Some(next) => self.pending.split_off(&next),
+            None => BTreeMap::new(),
+        };
+        let released = std::mem::replace(&mut self.pending, rest);
+        let mut out: Vec<(TokenId, usize)> = released.into_values().flatten().collect();
+        out.sort_unstable_by_key(|&(id, _)| id);
+        out
+    }
+
+    /// Every parked token in ascending id order (the snapshot's list).
+    pub(crate) fn pending_in_id_order(&self) -> Vec<(TokenId, usize)> {
+        let mut out: Vec<(TokenId, usize)> = self.pending.values().flatten().copied().collect();
+        out.sort_unstable_by_key(|&(id, _)| id);
+        out
+    }
+
+    /// The preferred bucket of every parked token (crash re-homing).
+    pub(crate) fn pending_buckets_mut(&mut self) -> impl Iterator<Item = &mut usize> {
+        self.pending.values_mut().flatten().map(|(_, b)| b)
     }
 }
 

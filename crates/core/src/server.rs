@@ -372,10 +372,15 @@ impl ControlPlane {
                 .iter()
                 .map(|(k, v)| (*k, v.iter().map(|&i| TokenId(i)).collect()))
                 .collect();
-            st.pending = snap.pending[level]
-                .iter()
-                .map(|&(id, b)| (TokenId(id), b))
-                .collect();
+            for &(id, bucket) in &snap.pending[level] {
+                let id = TokenId(id);
+                let iteration = c
+                    .tokens
+                    .get(&id)
+                    .ok_or(ScheduleError::UnknownToken { token: id })?
+                    .iteration;
+                c.levels.state_mut(level).park(iteration, id, bucket);
+            }
         }
         // `generated` is derivable: level ≥ 1 tokens are created only by the
         // generator and never dropped from the token table.
@@ -1101,20 +1106,9 @@ impl ControlPlane {
             ls.synced_upto += 1;
         }
         let bound = ls.release_bound(self.cfg.staleness);
-        let mut still_pending = VecDeque::new();
-        while let Some((id, bucket)) = self.levels.state_mut(level).pending.pop_front() {
-            let token_iter = self
-                .tokens
-                .get(&id)
-                .ok_or(ScheduleError::UnknownToken { token: id })?
-                .iteration;
-            if token_iter <= bound {
-                self.stb_push(bucket, level, id)?;
-            } else {
-                still_pending.push_back((id, bucket));
-            }
+        for (id, bucket) in ls.release_through(bound) {
+            self.stb_push(bucket, level, id)?;
         }
-        self.levels.state_mut(level).pending = still_pending;
         self.release_due_roots();
         Ok(())
     }
@@ -1166,7 +1160,7 @@ impl ControlPlane {
         if iteration <= self.level_state(level).release_bound(self.cfg.staleness) {
             self.stb_push(bucket, level, id)?;
         } else {
-            self.levels.state_mut(level).pending.push_back((id, bucket));
+            self.levels.state_mut(level).park(iteration, id, bucket);
         }
         Ok(())
     }
@@ -1286,7 +1280,7 @@ impl ControlPlane {
             }
             if let Some(fb) = fallback {
                 for level in 0..self.plan.num_levels() {
-                    for (_, bucket) in self.levels.state_mut(level).pending.iter_mut() {
+                    for bucket in self.levels.state_mut(level).pending_buckets_mut() {
                         if *bucket == worker {
                             *bucket = fb;
                         }
@@ -1344,7 +1338,7 @@ impl ControlPlane {
             }
             if self.cfg.hf {
                 for level in 0..self.plan.num_levels() {
-                    for (_, bucket) in self.levels.state_mut(level).pending.iter_mut() {
+                    for bucket in self.levels.state_mut(level).pending_buckets_mut() {
                         if !alive[*bucket] {
                             *bucket = fb;
                         }
@@ -1494,9 +1488,9 @@ impl ControlPlane {
             pending: (0..m)
                 .map(|l| {
                     self.level_state(l)
-                        .pending
-                        .iter()
-                        .map(|&(id, b)| (id.0, b))
+                        .pending_in_id_order()
+                        .into_iter()
+                        .map(|(id, b)| (id.0, b))
                         .collect()
                 })
                 .collect(),
@@ -1957,6 +1951,133 @@ mod tests {
             2,
             "both reconcile once 0 lands"
         );
+    }
+
+    /// Worker 0 pulls every grantable token and reports each pulled batch
+    /// newest first, so one level-0 iteration's completions can overtake the
+    /// previous one's and deeper-level ids interleave across iterations.
+    /// Level-0 syncs finish at once; deeper syncs are held and returned, so
+    /// level 0 runs ahead and the deeper levels park their generated tokens.
+    fn run_level0_ahead(ts: &mut ControlPlane, clock: &mut u64) -> Vec<(usize, u64)> {
+        let mut held = Vec::new();
+        loop {
+            *clock += 500;
+            let mut batch = Vec::new();
+            while let Some(g) = ts.request(0, t(*clock)).unwrap() {
+                batch.push(g.token.id);
+            }
+            while let Some((_, g)) = ts.pop_ready_grant(t(*clock)).unwrap() {
+                batch.push(g.token.id);
+            }
+            if batch.is_empty() {
+                return held;
+            }
+            for id in batch.into_iter().rev() {
+                for s in ts.report(0, id).unwrap() {
+                    if s.level == 0 {
+                        ts.sync_finished(0, s.iteration).unwrap();
+                    } else {
+                        held.push((s.level, s.iteration));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_sync_releases_several_pending_iterations_in_id_order() {
+        let (plan, meta) = meta_from_vgg();
+        let cfg = FelaConfig::new(3)
+            .with_weights(vec![1, 2, 4])
+            .with_staleness(1);
+        let mut ts = ControlPlane::new(plan.clone(), cfg.clone(), meta.clone(), N, 12);
+        let mut clock = 0u64;
+        let held = run_level0_ahead(&mut ts, &mut clock);
+        assert_eq!(ts.released_root_iterations(), 12, "level 0 ran to the end");
+        assert!(held.contains(&(1, 0)) && held.contains(&(1, 1)));
+
+        let before = ts.snapshot();
+        let tokens = ts.tokens().clone();
+        let iteration = |id: u64| tokens[&TokenId(id)].iteration;
+        let parked: BTreeSet<u64> = before.pending[1]
+            .iter()
+            .map(|&(id, _)| iteration(id))
+            .collect();
+        assert!(parked.len() >= 8, "level 1 parks iterations {parked:?}");
+        assert!(
+            before.pending[1].windows(2).all(|w| w[0].0 < w[1].0),
+            "the snapshot lists pending in ascending id order"
+        );
+        // A snapshot with `pending` spanning several iterations restores to
+        // a byte-equal snapshot.
+        let restored =
+            ControlPlane::restore(plan, cfg, meta, N, 12, tokens.clone(), &before).unwrap();
+        assert_eq!(restored.snapshot(), before);
+
+        // Out of order: syncing iteration 1 first releases nothing; syncing
+        // 0 then advances the bound by two and releases iterations 2 and 3
+        // in one call.
+        ts.sync_finished(1, 1).unwrap();
+        assert_eq!(ts.snapshot().stbs, before.stbs, "a gap at 0 holds level 1");
+        ts.sync_finished(1, 0).unwrap();
+        let after = ts.snapshot();
+        let released: Vec<(u64, usize)> = before.pending[1]
+            .iter()
+            .copied()
+            .filter(|&(id, _)| iteration(id) <= 3)
+            .collect();
+        assert_eq!(
+            released
+                .iter()
+                .map(|&(id, _)| iteration(id))
+                .collect::<BTreeSet<_>>(),
+            BTreeSet::from([2, 3])
+        );
+        // The two iterations' ids interleave, so releasing them iteration by
+        // iteration would differ from the FIFO (ascending-id) order.
+        let mut by_iteration = released.clone();
+        by_iteration.sort_by_key(|&(id, _)| (iteration(id), id));
+        assert_ne!(by_iteration, released, "the drive must interleave ids");
+        for (bucket, rows) in after.stbs.iter().enumerate() {
+            let old = &before.stbs[bucket][1];
+            assert_eq!(&rows[1][..old.len()], &old[..]);
+            let expect: Vec<u64> = released
+                .iter()
+                .filter(|&&(_, b)| b == bucket)
+                .map(|&(id, _)| id)
+                .collect();
+            assert_eq!(rows[1][old.len()..], expect[..], "bucket {bucket}");
+        }
+        let kept: Vec<(u64, usize)> = before.pending[1]
+            .iter()
+            .copied()
+            .filter(|&(id, _)| iteration(id) > 3)
+            .collect();
+        assert_eq!(after.pending[1], kept);
+    }
+
+    #[test]
+    fn restore_rejects_a_pending_id_missing_from_the_token_table() {
+        let (plan, meta) = meta_from_vgg();
+        let cfg = FelaConfig::new(3)
+            .with_weights(vec![1, 2, 4])
+            .with_staleness(1);
+        let mut ts = ControlPlane::new(plan.clone(), cfg.clone(), meta.clone(), N, 6);
+        run_level0_ahead(&mut ts, &mut 0);
+        let snap = ts.snapshot();
+        let (missing, _) = *snap.pending[1].last().expect("level 1 parks tokens");
+        let mut tokens = ts.tokens().clone();
+        tokens.remove(&TokenId(missing));
+        let err = ControlPlane::restore(plan, cfg, meta, N, 6, tokens, &snap)
+            .err()
+            .expect("a dangling pending id is rejected at restore");
+        assert_eq!(
+            err,
+            ScheduleError::UnknownToken {
+                token: TokenId(missing)
+            }
+        );
+        assert!(err.to_string().contains(&missing.to_string()), "{err}");
     }
 
     #[test]

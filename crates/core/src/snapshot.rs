@@ -23,7 +23,8 @@ pub struct ServerSnapshot {
     pub next_token_id: u64,
     /// STB contents: `stbs[bucket][level]` → token ids in queue order.
     pub stbs: Vec<Vec<Vec<u64>>>,
-    /// Sync-gated generated tokens per level: `(token id, preferred bucket)`.
+    /// Sync-gated generated tokens per level: `(token id, preferred bucket)`
+    /// in ascending id order, which is their release order.
     pub pending: Vec<Vec<(u64, usize)>>,
     /// Contiguously synced iteration count per level.
     pub synced_upto: Vec<u64>,

@@ -1,6 +1,7 @@
 //! Local shim for `criterion`: just enough API to compile and run the
 //! workspace's micro-benchmarks (`Criterion::bench_function`, `Bencher::iter`,
-//! `Bencher::iter_batched`, `criterion_group!`, `criterion_main!`).
+//! `Bencher::iter_batched`, `Bencher::iter_custom`, `criterion_group!`,
+//! `criterion_main!`).
 //!
 //! Each benchmark is timed with a fixed warm-up and a fixed measurement pass;
 //! the mean per-iteration time is printed. No statistics, plots or baselines.
@@ -82,6 +83,15 @@ impl Bencher {
             total += start.elapsed();
         }
         self.total = total;
+        self.iters = measure;
+    }
+
+    /// Lets `routine` time itself: it runs the given number of iterations
+    /// and returns their total time, which the shim divides by that number.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        let (warmup, measure) = iter_plan();
+        std::hint::black_box(routine(warmup));
+        self.total = routine(measure);
         self.iters = measure;
     }
 }

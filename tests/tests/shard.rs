@@ -16,14 +16,18 @@
 //! 3. **Snapshot round-trips** — snapshot → restore → snapshot is
 //!    bit-identical on both, and a restored pair *continues* identically to
 //!    the original under the same suffix of operations.
+//! 4. **Skewed levels** — level 0 runs far ahead of the deeper levels, which
+//!    park a long SSP-gated backlog; both must agree op by op and snapshot by
+//!    snapshot through out-of-order releases, a crash and a restart, and the
+//!    plane's cost per token must not grow with the run's length.
 
 use std::collections::BTreeMap;
 
 use fela_check::TokenServer;
 use fela_cluster::{FaultModel, Scenario};
 use fela_core::{
-    wal_path, ControlPlane, DurabilityOptions, FelaConfig, FelaRuntime, LevelMeta, RecoveryConfig,
-    TokenId, TokenPlan,
+    wal_path, ControlPlane, DurabilityOptions, FelaConfig, FelaRuntime, Grant, LevelMeta,
+    RecoveryConfig, ScheduleError, SyncSpec, TokenId, TokenPlan,
 };
 use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
 use fela_sim::{SimDuration, SimTime};
@@ -532,4 +536,273 @@ fn drain_ready_grants_matches_repeated_pop_on_both_planes() {
         "stats must not diverge between the batched and single-pop paths"
     );
     assert_eq!(drained.snapshot(), popped.snapshot());
+}
+
+/// The operations the skewed drive issues, on the plane alone or on the
+/// oracle–plane [`Lockstep`] pair.
+trait SkewTarget {
+    fn request(&mut self, worker: usize, now: SimTime) -> Result<Option<Grant>, ScheduleError>;
+    fn pop_ready_grant(&mut self, now: SimTime) -> Result<Option<(usize, Grant)>, ScheduleError>;
+    fn report(&mut self, worker: usize, token: TokenId) -> Result<Vec<SyncSpec>, ScheduleError>;
+    fn sync_finished(&mut self, level: usize, iteration: u64) -> Result<(), ScheduleError>;
+}
+
+impl SkewTarget for ControlPlane {
+    fn request(&mut self, worker: usize, now: SimTime) -> Result<Option<Grant>, ScheduleError> {
+        ControlPlane::request(self, worker, now)
+    }
+    fn pop_ready_grant(&mut self, now: SimTime) -> Result<Option<(usize, Grant)>, ScheduleError> {
+        ControlPlane::pop_ready_grant(self, now)
+    }
+    fn report(&mut self, worker: usize, token: TokenId) -> Result<Vec<SyncSpec>, ScheduleError> {
+        ControlPlane::report(self, worker, token)
+    }
+    fn sync_finished(&mut self, level: usize, iteration: u64) -> Result<(), ScheduleError> {
+        ControlPlane::sync_finished(self, level, iteration)
+    }
+}
+
+/// The oracle and the plane driven together: every operation's result and
+/// the snapshot after it must be identical on both.
+struct Lockstep {
+    oracle: TokenServer,
+    plane: ControlPlane,
+    /// Most distinct iterations any deeper level's `pending` held at once.
+    max_pending_span: usize,
+}
+
+impl Lockstep {
+    fn new(cfg: FelaConfig, iterations: u64) -> Self {
+        let (plan, meta) = vgg_inputs(&cfg);
+        Lockstep {
+            oracle: TokenServer::new(
+                plan.clone(),
+                cfg.clone(),
+                meta.clone(),
+                N_WORKERS,
+                iterations,
+            ),
+            plane: ControlPlane::new(plan, cfg, meta, N_WORKERS, iterations),
+            max_pending_span: 0,
+        }
+    }
+
+    /// Asserts the two results and the two snapshots agree; returns the
+    /// oracle's result.
+    fn agree<R: std::fmt::Debug>(&mut self, op: std::fmt::Arguments, a: R, b: R) -> R {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{op}");
+        let snap = self.plane.snapshot();
+        assert_eq!(self.oracle.snapshot(), snap, "snapshot after {op}");
+        for level in &snap.pending[1..] {
+            let iterations: std::collections::BTreeSet<u64> = level
+                .iter()
+                .map(|&(id, _)| self.plane.token(TokenId(id)).expect("parked").iteration)
+                .collect();
+            self.max_pending_span = self.max_pending_span.max(iterations.len());
+        }
+        a
+    }
+
+    fn crash(&mut self, worker: usize) {
+        let (a, b) = (
+            self.oracle.worker_crashed(worker),
+            self.plane.worker_crashed(worker),
+        );
+        self.agree(format_args!("worker_crashed({worker})"), a, b)
+            .expect("crash");
+    }
+
+    fn restart(&mut self, worker: usize) {
+        let (a, b) = (
+            self.oracle.worker_restarted(worker),
+            self.plane.worker_restarted(worker),
+        );
+        self.agree(format_args!("worker_restarted({worker})"), a, b)
+            .expect("restart");
+    }
+}
+
+impl SkewTarget for Lockstep {
+    fn request(&mut self, worker: usize, now: SimTime) -> Result<Option<Grant>, ScheduleError> {
+        let (a, b) = (
+            self.oracle.request(worker, now),
+            self.plane.request(worker, now),
+        );
+        self.agree(format_args!("request({worker})"), a, b)
+    }
+    fn pop_ready_grant(&mut self, now: SimTime) -> Result<Option<(usize, Grant)>, ScheduleError> {
+        let (a, b) = (
+            self.oracle.pop_ready_grant(now),
+            self.plane.pop_ready_grant(now),
+        );
+        self.agree(format_args!("pop_ready_grant"), a, b)
+    }
+    fn report(&mut self, worker: usize, token: TokenId) -> Result<Vec<SyncSpec>, ScheduleError> {
+        let (a, b) = (
+            self.oracle.report(worker, token),
+            self.plane.report(worker, token),
+        );
+        self.agree(format_args!("report({worker}, {token:?})"), a, b)
+    }
+    fn sync_finished(&mut self, level: usize, iteration: u64) -> Result<(), ScheduleError> {
+        let (a, b) = (
+            self.oracle.sync_finished(level, iteration),
+            self.plane.sync_finished(level, iteration),
+        );
+        self.agree(format_args!("sync_finished({level}, {iteration})"), a, b)
+    }
+}
+
+/// Deeper levels finish their two oldest held syncs once per this many
+/// level-0 syncs, so they fall further behind level 0 as the run goes on.
+const SKEW_PACE: u64 = 4;
+
+/// The skewed-level drive. Each round, `on_round` (given the level-0 syncs
+/// so far) picks the one worker that pulls every grantable token; the batch
+/// is reported newest first. Level-0 syncs finish at once; deeper syncs are
+/// held, and every `SKEW_PACE`-th level-0 sync finishes the two oldest held
+/// ones newest first, so one call can release two iterations. The deeper
+/// levels lag further and further and park a growing backlog. When nothing
+/// is grantable, every held sync finishes newest first. Returns the number
+/// of tokens reported.
+fn skewed_drive<T: SkewTarget>(t: &mut T, mut on_round: impl FnMut(&mut T, u64) -> usize) -> u64 {
+    let mut clock = 0u64;
+    let mut held: Vec<(usize, u64)> = Vec::new();
+    let mut level0_syncs = 0u64;
+    let mut reported = 0u64;
+    loop {
+        let puller = on_round(t, level0_syncs);
+        clock += 1_000;
+        let now = SimTime::from_nanos(clock);
+        let mut batch = Vec::new();
+        while let Some(g) = t.request(puller, now).expect("request") {
+            batch.push((puller, g.token.id));
+        }
+        while let Some((w, g)) = t.pop_ready_grant(now).expect("pop") {
+            batch.push((w, g.token.id));
+        }
+        if batch.is_empty() {
+            if held.is_empty() {
+                return reported;
+            }
+            while let Some((level, iteration)) = held.pop() {
+                t.sync_finished(level, iteration).expect("sync");
+            }
+            continue;
+        }
+        for (w, id) in batch.into_iter().rev() {
+            reported += 1;
+            for s in t.report(w, id).expect("report") {
+                if s.level > 0 {
+                    held.push((s.level, s.iteration));
+                    continue;
+                }
+                t.sync_finished(0, s.iteration).expect("sync");
+                level0_syncs += 1;
+                if level0_syncs % SKEW_PACE == 0 {
+                    let k = held.len().min(2);
+                    for (level, iteration) in held.drain(..k).rev() {
+                        t.sync_finished(level, iteration).expect("sync");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Skewed levels in lockstep: level 0 runs ahead until a deeper level's
+/// `pending` spans at least ten times the staleness bound. Mid-run the
+/// puller crashes (its parked tokens re-home to a survivor), then every
+/// worker crashes — the last with no survivor to re-home to — and a restart
+/// adopts the orphaned backlog. Oracle and plane agree op by op and snapshot
+/// by snapshot, and the run completes.
+#[test]
+fn skewed_levels_match_oracle_through_crash_and_restart() {
+    const STALENESS: u64 = 1;
+    const ITERATIONS: u64 = 48;
+    let cfg = build_cfg(true, true, false, false).with_staleness(STALENESS);
+    let mut pair = Lockstep::new(cfg, ITERATIONS);
+    let mut phase = 0;
+    let mut puller = 0;
+    let mut orphaned = false;
+    let reported = skewed_drive(&mut pair, |pair, level0_syncs| {
+        if phase == 0 && level0_syncs >= ITERATIONS / 3 {
+            phase = 1;
+            pair.crash(0);
+            puller = 1;
+        } else if phase == 1 && level0_syncs >= ITERATIONS / 2 {
+            phase = 2;
+            for w in 1..N_WORKERS {
+                pair.crash(w);
+            }
+            let snap = pair.plane.snapshot();
+            orphaned = snap.pending[1..]
+                .iter()
+                .flatten()
+                .any(|&(_, bucket)| !snap.alive[bucket]);
+            for w in 0..N_WORKERS {
+                pair.restart(w);
+            }
+            puller = 0;
+        }
+        puller
+    });
+    assert_eq!(phase, 2, "the faults fired");
+    assert!(
+        orphaned,
+        "the restart re-homed parked tokens of a dead bucket"
+    );
+    assert!(
+        pair.max_pending_span as u64 >= 10 * STALENESS,
+        "pending spanned only {} iterations",
+        pair.max_pending_span
+    );
+    assert!(pair.oracle.run_complete() && pair.plane.run_complete());
+    assert_eq!(
+        reported,
+        pair.plane.plan().tokens_per_iteration() * ITERATIONS
+    );
+}
+
+/// Nanoseconds per token of a fault-free skewed drive of `iterations`
+/// (fastest of three runs).
+fn skewed_ns_per_token(iterations: u64) -> f64 {
+    let cfg = build_cfg(true, true, false, false).with_staleness(1);
+    let (plan, meta) = vgg_inputs(&cfg);
+    (0..3)
+        .map(|_| {
+            let mut plane = ControlPlane::new(
+                plan.clone(),
+                cfg.clone(),
+                meta.clone(),
+                N_WORKERS,
+                iterations,
+            );
+            let start = std::time::Instant::now();
+            let tokens = skewed_drive(&mut plane, |_, _| 0);
+            assert!(plane.run_complete());
+            start.elapsed().as_nanos() as f64 / tokens as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Run-length guard: the skewed drive's cost per token stays flat when the
+/// run is eight times longer. Releasing parked tokens costs what is
+/// released; rescanning every parked token at each sync would grow the
+/// per-token cost with the backlog, about eightfold here.
+#[test]
+fn skewed_drive_cost_per_token_does_not_grow_with_run_length() {
+    const SHORT: u64 = 400;
+    let short = skewed_ns_per_token(SHORT);
+    let long = skewed_ns_per_token(8 * SHORT);
+    eprintln!(
+        "skewed drive: {short:.0} ns/token at {SHORT} iterations, {long:.0} at {}",
+        8 * SHORT
+    );
+    assert!(
+        long < 3.0 * short,
+        "ns per token grew {:.2}x from {SHORT} to {} iterations",
+        long / short,
+        8 * SHORT
+    );
 }
