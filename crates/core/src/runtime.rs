@@ -832,29 +832,33 @@ impl World for FelaWorld<'_> {
                     // revoked the lease when it processed the crash.
                     return;
                 }
-                self.trace.record_kind(
-                    now,
-                    "ts",
-                    EventKind::Grant {
-                        worker,
-                        token: grant.token.id.0,
-                        level: grant.token.level,
-                        iteration: grant.token.iteration,
-                        deps: grant.token.deps.iter().map(|d| d.0).collect(),
-                    },
-                    || {
-                        format!(
-                        "grant token {} (level {}, iter {}, batch {}) to worker {} ({} fetches{})",
-                        grant.token.id.0,
-                        grant.token.level + 1,
-                        grant.token.iteration,
-                        grant.token.batch,
-                        worker,
-                        grant.fetches.len(),
-                        if grant.conflict { ", conflicted" } else { "" }
-                    )
-                    },
-                );
+                // The structured kind owns a `deps` Vec: build it only when
+                // the trace records it.
+                if self.trace.is_enabled() {
+                    self.trace.record_kind(
+                        now,
+                        "ts",
+                        EventKind::Grant {
+                            worker,
+                            token: grant.token.id.0,
+                            level: grant.token.level,
+                            iteration: grant.token.iteration,
+                            deps: grant.token.deps.iter().map(|d| d.0).collect(),
+                        },
+                        || {
+                            format!(
+                                "grant token {} (level {}, iter {}, batch {}) to worker {} ({} fetches{})",
+                                grant.token.id.0,
+                                grant.token.level + 1,
+                                grant.token.iteration,
+                                grant.token.batch,
+                                worker,
+                                grant.fetches.len(),
+                                if grant.conflict { ", conflicted" } else { "" }
+                            )
+                        },
+                    );
+                }
                 let fetches = grant.fetches.clone();
                 let token = grant.token.id;
                 let state = &mut self.workers[worker];

@@ -16,9 +16,12 @@
 //!   bottleneck-link algorithm over the whole flow set, O(L·F) worst case, with
 //!   deterministic tie-breaking (lowest link index first).
 //! * [`IncrementalMaxMin`] — the incremental engine the [`crate::Network`] hot
-//!   path uses: it keeps per-link flow sets, and on each flow start/finish recomputes
-//!   rates only for the *connected component* of the link-sharing graph the
-//!   changed flow touches. Flows in other components keep their cached rates.
+//!   path uses: it keeps its flows and per-link flow lists as ascending-key
+//!   `Vec`s, and on each batch of flow starts and finishes
+//!   ([`IncrementalMaxMin::apply_batch`]) recomputes rates once, only for the
+//!   *connected components* of the link-sharing graph the batch touches. Flows
+//!   in other components keep their cached rates. The network hands it one
+//!   batch per simulated instant.
 //!
 //! ## Why the incremental engine is bit-identical to the oracle
 //!
@@ -34,8 +37,14 @@
 //! computed rates are bit-identical — the property the simulator's byte-identical
 //! artifact gate rests on, and which `tests/tests/properties.rs` property-tests
 //! over random flow churn.
-
-use std::collections::{BTreeMap, BTreeSet};
+//!
+//! The same argument covers a batch. Rates are a pure function of the final
+//! flow set. A final component that contains none of the batch's seed links
+//! (both links of every inserted or removed flow) has the same flows as
+//! before the batch, so its cached rates stand. Every other final component
+//! is reached from a seed and recomputed, and filling several of them in one
+//! pass is again an interleaving of their per-component sequences. A flow
+//! inserted and removed in one batch leaves no trace.
 
 /// A flow's endpoints for allocation purposes, as link indices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,7 +75,7 @@ struct LinkState {
 }
 
 /// The shared water-filling core. `comp_links` are the participating link ids in
-/// ascending order; `flows` are `(egress link id, ingress link id)` pairs in
+/// ascending order; `flows` yields `(egress link id, ingress link id)` pairs in
 /// canonical (ascending-key) order, both id spaces already unified. Returns one
 /// strictly positive rate per flow, in input order.
 ///
@@ -76,7 +85,7 @@ struct LinkState {
 fn progressive_fill(
     link_cap: impl Fn(usize) -> f64,
     comp_links: &[usize],
-    flows: &[(usize, usize)],
+    flows: impl IntoIterator<Item = (usize, usize)>,
 ) -> Vec<f64> {
     // Dense state indexed by position in `comp_links`; since the slice is sorted
     // ascending, walking positions 0..L preserves the ascending-link-id scan the
@@ -105,16 +114,18 @@ fn progressive_fill(
         }
         panic!("flow references link {l} outside the component link set");
     };
-    let flow_pos: Vec<(usize, usize)> =
-        flows.iter().map(|&(e, g)| (pos_of(e), pos_of(g))).collect();
+    let flow_pos: Vec<(usize, usize)> = flows
+        .into_iter()
+        .map(|(e, g)| (pos_of(e), pos_of(g)))
+        .collect();
     for &(pe, pg) in &flow_pos {
         state[pe].active += 1;
         state[pg].active += 1;
     }
 
-    let mut rates = vec![0.0f64; flows.len()];
-    let mut frozen = vec![false; flows.len()];
-    let mut remaining = flows.len();
+    // Every frozen rate is strictly positive, so 0.0 marks an unfrozen flow.
+    let mut rates = vec![0.0f64; flow_pos.len()];
+    let mut remaining = flow_pos.len();
     while remaining > 0 {
         // Find the bottleneck link: smallest fair share among links with active
         // flows; ties resolved by lowest link index for determinism.
@@ -139,12 +150,11 @@ fn progressive_fill(
         };
         // Freeze every flow through the bottleneck at the fair share.
         for (i, &(pe, pg)) in flow_pos.iter().enumerate() {
-            if frozen[i] {
+            if rates[i] > 0.0 {
                 continue;
             }
             if pe == bottleneck || pg == bottleneck {
                 rates[i] = rate;
-                frozen[i] = true;
                 remaining -= 1;
                 // Release capacity on the flow's links.
                 for p in [pe, pg] {
@@ -199,29 +209,38 @@ pub fn max_min_rates(egress_cap: &[f64], ingress_cap: &[f64], flows: &[FlowLinks
         );
     }
     let all_links: Vec<usize> = (0..n_links).collect();
-    let pairs: Vec<(usize, usize)> = flows.iter().map(|f| (f.egress, ne + f.ingress)).collect();
-    progressive_fill(link_cap, &all_links, &pairs)
+    let pairs = flows.iter().map(|f| (f.egress, ne + f.ingress));
+    progressive_fill(link_cap, &all_links, pairs)
 }
 
 /// The incremental max–min fair-share engine.
 ///
 /// Holds the active flow set keyed by a caller-chosen `u64` (the simulator uses
 /// the raw `FlowId`, whose ascending order is exactly the oracle's input order)
-/// and keeps every flow's current rate cached. [`IncrementalMaxMin::insert`] and
-/// [`IncrementalMaxMin::remove`]/[`IncrementalMaxMin::remove_batch`] recompute
-/// rates only for the affected connected component of the link-sharing graph —
+/// and keeps every flow's current rate cached. [`IncrementalMaxMin::apply_batch`]
+/// applies any mix of inserts and removals and then recomputes rates once, only
+/// for the connected components of the link-sharing graph the batch touched —
 /// O(component) instead of O(L·F) — while staying bit-identical to
 /// [`max_min_rates`] over the full set (see the module docs for the argument).
+/// [`IncrementalMaxMin::insert`], [`IncrementalMaxMin::remove`] and
+/// [`IncrementalMaxMin::remove_batch`] are one-change batches.
 #[derive(Clone, Debug)]
 pub struct IncrementalMaxMin {
     egress_cap: Vec<f64>,
     ingress_cap: Vec<f64>,
-    /// Active flows by key; ascending key order is the canonical oracle order.
-    flows: BTreeMap<u64, FlowLinks>,
-    /// `link_flows[l]` — keys of the flows using link `l` (unified id space).
-    link_flows: Vec<BTreeSet<u64>>,
-    /// Cached rate per flow, maintained by the component recomputations.
-    rates: BTreeMap<u64, f64>,
+    /// Active flows in ascending key order, the canonical oracle order.
+    flows: Vec<Active>,
+    /// `link_flows[l]` — ascending keys of the flows using link `l` (unified id
+    /// space).
+    link_flows: Vec<Vec<u64>>,
+}
+
+/// One active flow and its cached rate.
+#[derive(Clone, Copy, Debug)]
+struct Active {
+    key: u64,
+    links: FlowLinks,
+    rate: f64,
 }
 
 impl IncrementalMaxMin {
@@ -238,9 +257,8 @@ impl IncrementalMaxMin {
         IncrementalMaxMin {
             egress_cap,
             ingress_cap,
-            flows: BTreeMap::new(),
-            link_flows: vec![BTreeSet::new(); n_links],
-            rates: BTreeMap::new(),
+            flows: Vec::new(),
+            link_flows: vec![Vec::new(); n_links],
         }
     }
 
@@ -258,6 +276,11 @@ impl IncrementalMaxMin {
         (f.egress, self.egress_cap.len() + f.ingress)
     }
 
+    /// Position of `key` in `self.flows`, or where it would be inserted.
+    fn position(&self, key: u64) -> Result<usize, usize> {
+        self.flows.binary_search_by_key(&key, |f| f.key)
+    }
+
     /// Number of active flows.
     pub fn len(&self) -> usize {
         self.flows.len()
@@ -273,15 +296,15 @@ impl IncrementalMaxMin {
     /// # Panics
     /// Panics if `key` is not an active flow.
     pub fn rate(&self, key: u64) -> f64 {
-        match self.rates.get(&key) {
-            Some(&r) => r,
-            None => panic!("rate queried for unknown flow key {key}"),
+        match self.position(key) {
+            Ok(p) => self.flows[p].rate,
+            Err(_) => panic!("rate queried for unknown flow key {key}"),
         }
     }
 
     /// Active flow keys and rates in ascending key order (oracle order).
     pub fn rates(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.rates.iter().map(|(&k, &r)| (k, r))
+        self.flows.iter().map(|f| (f.key, f.rate))
     }
 
     /// Adds a flow and recomputes its connected component's rates.
@@ -289,24 +312,7 @@ impl IncrementalMaxMin {
     /// # Panics
     /// Panics if `key` is already active or a link index is out of bounds.
     pub fn insert(&mut self, key: u64, links: FlowLinks) {
-        assert!(
-            links.egress < self.egress_cap.len(),
-            "egress link {} out of bounds",
-            links.egress
-        );
-        assert!(
-            links.ingress < self.ingress_cap.len(),
-            "ingress link {} out of bounds",
-            links.ingress
-        );
-        assert!(
-            self.flows.insert(key, links).is_none(),
-            "flow key {key} inserted twice"
-        );
-        let (e, g) = self.link_ids(links);
-        self.link_flows[e].insert(key);
-        self.link_flows[g].insert(key);
-        self.recompute_from([e, g]);
+        self.apply_batch(&[(key, links)], &[]);
     }
 
     /// Removes a flow and recomputes its former component's rates.
@@ -324,17 +330,65 @@ impl IncrementalMaxMin {
     /// # Panics
     /// Panics if any key is not an active flow.
     pub fn remove_batch(&mut self, keys: &[u64]) {
-        let mut seeds = Vec::with_capacity(keys.len() * 2);
-        for &key in keys {
-            let Some(links) = self.flows.remove(&key) else {
+        self.apply_batch(&[], keys);
+    }
+
+    /// Applies `inserts`, then `removals`, and recomputes every component the
+    /// batch touched in one pass. A key may be inserted and removed in the same
+    /// batch; it then leaves no trace. Rates are a pure function of the final
+    /// flow set, so the result is bit-identical to applying the changes one at
+    /// a time.
+    ///
+    /// # Panics
+    /// Panics if an inserted key is already active, a link index is out of
+    /// bounds, or a removed key is not active once the inserts are applied.
+    pub fn apply_batch(&mut self, inserts: &[(u64, FlowLinks)], removals: &[u64]) {
+        let mut seeds = Vec::with_capacity(2 * (inserts.len() + removals.len()));
+        for &(key, links) in inserts {
+            assert!(
+                links.egress < self.egress_cap.len(),
+                "egress link {} out of bounds",
+                links.egress
+            );
+            assert!(
+                links.ingress < self.ingress_cap.len(),
+                "ingress link {} out of bounds",
+                links.ingress
+            );
+            let Err(pos) = self.position(key) else {
+                panic!("flow key {key} inserted twice");
+            };
+            // Rate 0.0 is a placeholder: the new flow's component is a seed.
+            self.flows.insert(
+                pos,
+                Active {
+                    key,
+                    links,
+                    rate: 0.0,
+                },
+            );
+            let (e, g) = self.link_ids(links);
+            for l in [e, g] {
+                let on_link = &mut self.link_flows[l];
+                if let Err(p) = on_link.binary_search(&key) {
+                    on_link.insert(p, key);
+                }
+                seeds.push(l);
+            }
+        }
+        for &key in removals {
+            let Ok(pos) = self.position(key) else {
                 panic!("removal of unknown flow key {key}");
             };
-            self.rates.remove(&key);
-            let (e, g) = self.link_ids(links);
-            self.link_flows[e].remove(&key);
-            self.link_flows[g].remove(&key);
-            seeds.push(e);
-            seeds.push(g);
+            let gone = self.flows.remove(pos);
+            let (e, g) = self.link_ids(gone.links);
+            for l in [e, g] {
+                let on_link = &mut self.link_flows[l];
+                if let Ok(p) = on_link.binary_search(&key) {
+                    on_link.remove(p);
+                }
+                seeds.push(l);
+            }
         }
         self.recompute_from(seeds);
     }
@@ -342,44 +396,46 @@ impl IncrementalMaxMin {
     /// Recomputes rates for the connected component(s) reachable from the seed
     /// links over the link-sharing graph (links are vertices; a flow connects its
     /// two links).
-    fn recompute_from(&mut self, seeds: impl IntoIterator<Item = usize>) {
-        // Vec-based BFS over the link-sharing graph: a visited bitmap per link
-        // and at-most-twice flow duplicates resolved by one sort+dedup — far
-        // cheaper than set insertions when the component is large, and the final
-        // ascending orders (links, then flow keys) are exactly what the
-        // determinism contract of `progressive_fill` requires.
+    fn recompute_from(&mut self, mut stack: Vec<usize>) {
+        if stack.is_empty() {
+            return;
+        }
+        // Vec-based search over the link-sharing graph: a visited bitmap per
+        // link, and members recorded as positions in `self.flows` (each flow is
+        // reached from at most its two links; one sort+dedup drops the second
+        // visit). Ascending positions are ascending keys, and sorted links are
+        // the ascending link scan — exactly the orders the determinism contract
+        // of `progressive_fill` requires. Every buffer lives for one call only.
         let mut visited = vec![false; self.link_flows.len()];
         let mut links: Vec<usize> = Vec::new();
-        let mut keys: Vec<u64> = Vec::new();
-        let mut stack: Vec<usize> = seeds.into_iter().collect();
+        let mut members: Vec<usize> = Vec::new();
         while let Some(l) = stack.pop() {
             if std::mem::replace(&mut visited[l], true) {
                 continue;
             }
             links.push(l);
             for &key in &self.link_flows[l] {
-                // Each flow is reached from at most its two links; the second
-                // visit is dropped by the dedup below.
-                keys.push(key);
-                let (e, g) = self.link_ids(self.flows[&key]);
-                stack.push(e);
-                stack.push(g);
+                let Ok(pos) = self.position(key) else {
+                    panic!("link {l} lists unknown flow key {key}");
+                };
+                members.push(pos);
+                let (e, g) = self.link_ids(self.flows[pos].links);
+                stack.push(if e == l { g } else { e });
             }
         }
-        keys.sort_unstable();
-        keys.dedup();
-        if keys.is_empty() {
+        members.sort_unstable();
+        members.dedup();
+        if members.is_empty() {
             return;
         }
-        // Links with no flows contribute nothing; keep only active ones plus the
-        // seeds already collected (inactive links have active == 0 and are never
-        // selected as bottleneck, exactly as in the oracle's full scan).
+        // Links with no flows contribute nothing (inactive links have
+        // active == 0 and are never selected as bottleneck, exactly as in the
+        // oracle's full scan).
         links.sort_unstable();
-        let pairs: Vec<(usize, usize)> =
-            keys.iter().map(|k| self.link_ids(self.flows[k])).collect();
-        let rates = progressive_fill(|l| self.link_cap(l), &links, &pairs);
-        for (key, rate) in keys.into_iter().zip(rates) {
-            self.rates.insert(key, rate);
+        let pairs = members.iter().map(|&p| self.link_ids(self.flows[p].links));
+        let rates = progressive_fill(|l| self.link_cap(l), &links, pairs);
+        for (p, rate) in members.into_iter().zip(rates) {
+            self.flows[p].rate = rate;
         }
     }
 }
@@ -531,8 +587,8 @@ mod tests {
     // ---- IncrementalMaxMin ----
 
     fn oracle_of(engine: &IncrementalMaxMin) -> Vec<(u64, f64)> {
-        let flows: Vec<FlowLinks> = engine.flows.values().copied().collect();
-        let keys: Vec<u64> = engine.flows.keys().copied().collect();
+        let flows: Vec<FlowLinks> = engine.flows.iter().map(|f| f.links).collect();
+        let keys: Vec<u64> = engine.flows.iter().map(|f| f.key).collect();
         let rates = max_min_rates(&engine.egress_cap, &engine.ingress_cap, &flows);
         keys.into_iter().zip(rates).collect()
     }
@@ -627,6 +683,33 @@ mod tests {
             assert!(r > 0.0 && r.is_finite());
         }
         assert_matches_oracle(&engine);
+    }
+
+    #[test]
+    fn batch_insert_and_remove_of_one_key_leaves_no_trace() {
+        let (e, i) = caps(4);
+        let mut engine = IncrementalMaxMin::new(e, i);
+        engine.insert(0, fl(0, 1));
+        engine.insert(1, fl(2, 1));
+        let before: Vec<(u64, f64)> = engine.rates().collect();
+        // Flow 2 shares both of flow 0's links; it starts and is aborted in
+        // the same batch, next to the start of an unrelated flow 3.
+        engine.apply_batch(&[(2, fl(0, 1)), (3, fl(3, 2))], &[2]);
+        assert_eq!(engine.len(), 3);
+        assert!(engine
+            .link_flows
+            .iter()
+            .all(|on_link| !on_link.contains(&2)));
+        let after: Vec<(u64, f64)> = engine.rates().take(2).collect();
+        for ((k1, r1), (k2, r2)) in before.iter().zip(&after) {
+            assert_eq!(k1, k2);
+            assert_eq!(r1.to_bits(), r2.to_bits());
+        }
+        assert_eq!(engine.rate(3), BW);
+        assert_matches_oracle(&engine);
+        engine.apply_batch(&[(4, fl(1, 0))], &[4, 0, 1, 3]);
+        assert!(engine.is_empty());
+        assert!(engine.link_flows.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -1,22 +1,39 @@
 //! The flow-level network state machine.
 //!
 //! [`Network`] tracks active transfers ([`Flow`]s) between cluster nodes. Rates are
-//! recomputed by max–min fair sharing every time the flow set changes; between
+//! recomputed by max–min fair sharing whenever the flow set changes; between
 //! changes, each flow drains linearly, so completion instants are exact. The owner
 //! (a simulation [`fela_sim::World`]) drives it with three calls:
 //!
 //! 1. [`Network::start_flow`] whenever a transfer begins;
-//! 2. [`Network::next_completion`] after any change, to (re)schedule a single
-//!    "network completion" event at the right virtual time;
+//! 2. [`Network::next_completion`] after a burst of changes, to (re)schedule a
+//!    single "network completion" event at the right virtual time;
 //! 3. [`Network::take_completions`] when that event fires, to learn which transfers
 //!    finished.
+//!
+//! ## One settle per simulated instant
+//!
+//! Starts, completions and aborts change the flow table at once but only stage
+//! their fair-share work. The network *settles* the staged changes of an
+//! instant in one go: one [`IncrementalMaxMin::apply_batch`] over every
+//! touched component, then one pass that re-derives every flow's completion
+//! estimate at that instant. It settles when the clock moves past the instant,
+//! when completions are read ([`Network::take_completions`]) and when the owner
+//! asks [`Network::next_completion`]. A ring all-reduce round that starts eight
+//! flows at one instant thus pays one recompute and one estimate pass, not
+//! eight.
+//!
+//! Results are bit-identical to settling after every change. Rates are a pure
+//! function of the final flow set (see [`crate::fairshare`]). Estimates are
+//! still computed at the instant of the change, from the same `remaining`:
+//! draining to an unchanged instant drains nothing, so no same-instant change
+//! can observe stale rates, and the clock never moves before the instant is
+//! settled.
 //!
 //! Latency is modelled as a fixed startup delay before a flow's bytes begin to
 //! drain (it still occupies its fair share from the start, which slightly
 //! overweights tiny control messages — conservative for Fela, whose token RPCs are
 //! "at most hundreds of bytes").
-
-use std::collections::BTreeMap;
 
 use fela_sim::{SimDuration, SimTime};
 use serde::Serialize;
@@ -46,6 +63,7 @@ pub struct FlowSpec {
 
 #[derive(Clone, Debug)]
 struct Flow {
+    id: FlowId,
     spec: FlowSpec,
     remaining: f64,
     rate: f64,
@@ -53,6 +71,13 @@ struct Flow {
     ready_at: SimTime,
     /// Exact completion estimate under the current rates.
     est_done: SimTime,
+}
+
+impl Flow {
+    /// Whether the flow crosses the switch (a same-node flow never touches a NIC).
+    fn netted(&self) -> bool {
+        self.spec.src != self.spec.dst
+    }
 }
 
 /// Configuration of the star network.
@@ -84,13 +109,23 @@ impl NetworkConfig {
 #[derive(Clone, Debug)]
 pub struct Network {
     config: NetworkConfig,
-    flows: BTreeMap<FlowId, Flow>,
+    /// Active flows in ascending id order; ids are minted ascending, so a start
+    /// appends.
+    flows: Vec<Flow>,
     /// Incremental fair-share engine holding every netted (src ≠ dst) flow,
     /// keyed by the raw `FlowId` so its canonical order matches `self.flows`.
-    /// On each start/finish it recomputes only the affected connected component
-    /// of the link-sharing graph, with rates bit-identical to a full
-    /// `max_min_rates` pass (see `fairshare` module docs).
+    /// A settle recomputes only the connected components the instant's changes
+    /// touched, with rates bit-identical to a full `max_min_rates` pass (see
+    /// `fairshare` module docs).
     shares: IncrementalMaxMin,
+    /// Netted flows started since the last settle, for the engine's next batch.
+    staged_starts: Vec<(u64, FlowLinks)>,
+    /// Netted flows completed or aborted since the last settle.
+    staged_ends: Vec<u64>,
+    /// Whether the flow set changed since the last settle.
+    dirty: bool,
+    /// Earliest completion estimate as of the last settle.
+    next_done: Option<SimTime>,
     next_id: u64,
     last_update: SimTime,
     /// Total bytes delivered, for experiment reporting.
@@ -108,8 +143,12 @@ impl Network {
         let caps = vec![config.link_bandwidth; config.nodes];
         Network {
             config,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
             shares: IncrementalMaxMin::new(caps.clone(), caps),
+            staged_starts: Vec::new(),
+            staged_ends: Vec::new(),
+            dirty: false,
+            next_done: None,
             next_id: 0,
             last_update: SimTime::ZERO,
             bytes_delivered: 0.0,
@@ -131,7 +170,8 @@ impl Network {
         self.bytes_delivered as u64
     }
 
-    /// Starts a transfer at `now`; returns its id.
+    /// Starts a transfer at `now`; returns its id. The new rates take effect at
+    /// the instant's settle.
     ///
     /// Same-node transfers (`src == dst`) never touch a NIC: they complete after
     /// the latency alone.
@@ -144,39 +184,43 @@ impl Network {
         self.advance(now);
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        let ready_at = now + self.config.latency;
-        self.flows.insert(
+        let flow = Flow {
             id,
-            Flow {
-                spec,
-                remaining: spec.bytes as f64,
-                rate: 0.0,
-                ready_at,
-                est_done: SimTime::MAX,
-            },
-        );
-        if spec.src != spec.dst {
-            // Recomputes rates for the new flow's connected component only.
-            self.shares.insert(
+            spec,
+            remaining: spec.bytes as f64,
+            rate: 0.0,
+            ready_at: now + self.config.latency,
+            est_done: SimTime::MAX,
+        };
+        if flow.netted() {
+            self.staged_starts.push((
                 id.0,
                 FlowLinks {
                     egress: spec.src.0,
                     ingress: spec.dst.0,
                 },
-            );
+            ));
         }
-        self.refresh_rates_and_estimates(now);
+        self.flows.push(flow);
+        self.dirty = true;
         id
     }
 
-    /// Advances all flows' remaining bytes to `now`. Idempotent.
+    /// Advances all flows' remaining bytes to `now`, settling the previous
+    /// instant's changes first when the clock moves. Idempotent.
     fn advance(&mut self, now: SimTime) {
         assert!(
             now >= self.last_update,
             "network driven backwards: {now} < {}",
             self.last_update
         );
-        for flow in self.flows.values_mut() {
+        if now == self.last_update {
+            // Nothing drains within an instant, so same-instant changes can
+            // stay staged.
+            return;
+        }
+        self.settle();
+        for flow in &mut self.flows {
             let from = if flow.ready_at > self.last_update {
                 flow.ready_at
             } else {
@@ -192,84 +236,95 @@ impl Network {
         self.last_update = now;
     }
 
-    /// Pulls the engine's (possibly component-locally updated) rates into the
-    /// flow table and recomputes completion estimates. Call after the flow set
-    /// changes (start or completion).
+    /// Settles the changes staged at `last_update`: one engine batch over every
+    /// start, completion and abort of the instant, then one pass that merges the
+    /// engine's rates into the flow table (both lists ascend by id, and the
+    /// engine holds exactly the netted flows) and re-derives every completion
+    /// estimate at `last_update`. A no-op when nothing changed.
     ///
     /// The estimate pass deliberately still covers *all* flows: `est_done` is a
-    /// quantised `SimTime` derived from `remaining / rate` at the current
-    /// instant, so re-deriving it lazily at a different instant could drift by
-    /// a nanosecond of rounding and break byte-identity of the trace artifacts.
-    /// It is O(flows) with no allocation — the O(links·flows) water-filling is
-    /// what the component-local engine amortises away.
-    fn refresh_rates_and_estimates(&mut self, now: SimTime) {
-        for (id, flow) in &mut self.flows {
-            if flow.spec.src != flow.spec.dst {
-                flow.rate = self.shares.rate(id.0);
-            }
+    /// quantised `SimTime` derived from `remaining / rate` at the instant of the
+    /// change, so re-deriving it lazily at a different instant could drift by a
+    /// nanosecond of rounding and break byte-identity of the trace artifacts.
+    fn settle(&mut self) {
+        if !self.dirty {
+            return;
         }
-        for flow in self.flows.values_mut() {
-            if flow.spec.src == flow.spec.dst {
+        self.dirty = false;
+        self.shares
+            .apply_batch(&self.staged_starts, &self.staged_ends);
+        self.staged_starts.clear();
+        self.staged_ends.clear();
+        let now = self.last_update;
+        let mut rates = self.shares.rates();
+        let mut next_done: Option<SimTime> = None;
+        for flow in &mut self.flows {
+            if flow.netted() {
+                let Some((key, rate)) = rates.next() else {
+                    panic!("fair-share engine is missing flow {}", flow.id.0);
+                };
+                debug_assert_eq!(key, flow.id.0, "engine and flow table disagree");
+                flow.rate = rate;
+                let drain_start = if flow.ready_at > now {
+                    flow.ready_at
+                } else {
+                    now
+                };
+                flow.est_done = if flow.remaining <= 0.0 {
+                    drain_start
+                } else if flow.rate > 0.0 {
+                    drain_start + SimDuration::from_secs_f64(flow.remaining / flow.rate)
+                } else {
+                    SimTime::MAX
+                };
+            } else {
                 // Latency-only local delivery.
                 flow.est_done = flow.ready_at;
                 flow.remaining = 0.0;
-                continue;
             }
-            let drain_start = if flow.ready_at > now {
-                flow.ready_at
-            } else {
-                now
-            };
-            if flow.remaining <= 0.0 {
-                flow.est_done = drain_start;
-            } else if flow.rate > 0.0 {
-                flow.est_done =
-                    drain_start + SimDuration::from_secs_f64(flow.remaining / flow.rate);
-            } else {
-                flow.est_done = SimTime::MAX;
-            }
+            next_done = Some(next_done.map_or(flow.est_done, |t| t.min(flow.est_done)));
         }
+        self.next_done = next_done;
     }
 
-    /// Earliest completion instant among active flows, if any. The owner should
-    /// keep exactly one pending completion event at this time, cancelling and
-    /// rescheduling whenever the value changes.
-    pub fn next_completion(&self) -> Option<SimTime> {
-        self.flows.values().map(|f| f.est_done).min()
+    /// Earliest completion instant among active flows, if any. Settles the
+    /// current instant's changes first, so the value is the one every change
+    /// applied eagerly would give. The owner should keep exactly one pending
+    /// completion event at this time, cancelling and rescheduling whenever the
+    /// value changes; asking once after a burst of same-instant changes is
+    /// enough.
+    pub fn next_completion(&mut self) -> Option<SimTime> {
+        self.settle();
+        self.next_done
     }
 
     /// Aborts every active flow matching `pred`, returning them in `FlowId`
     /// order (fault injection: a crashed node or dark link kills its
     /// transfers). Undelivered bytes are *not* counted as delivered; the
-    /// surviving flows' rates are recomputed in one batched pass through the
-    /// fair-share engine, exactly like a completion wave.
+    /// surviving flows' rates are recomputed at the instant's settle, exactly
+    /// like a completion wave.
     pub fn abort_matching(
         &mut self,
         now: SimTime,
         pred: impl Fn(&FlowSpec) -> bool,
     ) -> Vec<(FlowId, FlowSpec)> {
         self.advance(now);
-        let doomed: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| pred(&f.spec))
-            .map(|(&id, _)| id)
-            .collect();
-        let mut specs = Vec::with_capacity(doomed.len());
-        let mut netted = Vec::with_capacity(doomed.len());
-        for id in doomed {
-            if let Some(flow) = self.flows.remove(&id) {
-                if flow.spec.src != flow.spec.dst {
-                    netted.push(id.0);
-                }
-                specs.push((id, flow.spec));
+        let mut aborted = Vec::new();
+        let staged_ends = &mut self.staged_ends;
+        self.flows.retain(|flow| {
+            if !pred(&flow.spec) {
+                return true;
             }
+            if flow.netted() {
+                staged_ends.push(flow.id.0);
+            }
+            aborted.push((flow.id, flow.spec));
+            false
+        });
+        if !aborted.is_empty() {
+            self.dirty = true;
         }
-        if !specs.is_empty() {
-            self.shares.remove_batch(&netted);
-            self.refresh_rates_and_estimates(now);
-        }
-        specs
+        aborted
     }
 
     /// Aborts every flow touching `node` — its NIC went dark (crash or link
@@ -280,34 +335,30 @@ impl Network {
     }
 
     /// Removes and returns all flows completing at or before `now`, in FlowId
-    /// order. Recomputes the remaining flows' rates.
+    /// order. The remaining flows' rates are recomputed at the instant's settle.
     pub fn take_completions(&mut self, now: SimTime) -> Vec<(FlowId, FlowSpec)> {
         self.advance(now);
-        let done: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.est_done <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut specs = Vec::with_capacity(done.len());
-        let mut netted_done = Vec::with_capacity(done.len());
-        for id in done {
-            // `done` was collected from `self.flows` above, so the entry exists.
-            if let Some(flow) = self.flows.remove(&id) {
-                // Account any residual rounding error as delivered.
-                self.bytes_delivered += flow.remaining.max(0.0);
-                if flow.spec.src != flow.spec.dst {
-                    netted_done.push(id.0);
-                }
-                specs.push((id, flow.spec));
+        self.settle();
+        if self.next_done.map_or(true, |t| t > now) {
+            return Vec::new();
+        }
+        let mut done = Vec::new();
+        let staged_ends = &mut self.staged_ends;
+        let bytes_delivered = &mut self.bytes_delivered;
+        self.flows.retain(|flow| {
+            if flow.est_done > now {
+                return true;
             }
-        }
-        if !specs.is_empty() {
-            // One component recomputation covers the whole completion wave.
-            self.shares.remove_batch(&netted_done);
-            self.refresh_rates_and_estimates(now);
-        }
-        specs
+            // Account any residual rounding error as delivered.
+            *bytes_delivered += flow.remaining.max(0.0);
+            if flow.netted() {
+                staged_ends.push(flow.id.0);
+            }
+            done.push((flow.id, flow.spec));
+            false
+        });
+        self.dirty = true;
+        done
     }
 }
 
@@ -510,6 +561,28 @@ mod tests {
         let before = n.next_completion();
         assert!(n.abort_matching(SimTime::ZERO, |s| s.tag == 999).is_empty());
         assert_eq!(n.next_completion(), before);
+    }
+
+    #[test]
+    fn flow_started_and_aborted_in_one_instant_leaves_no_trace() {
+        let mut n = net(3);
+        n.start_flow(SimTime::ZERO, spec(0, 1, 1_000_000));
+        let before = n.next_completion();
+        let t = SimTime::from_nanos(10_000);
+        n.start_flow(
+            t,
+            FlowSpec {
+                src: NodeId(0),
+                dst: NodeId(2),
+                bytes: 1_000_000,
+                tag: 9,
+            },
+        );
+        assert_eq!(n.abort_matching(t, |s| s.tag == 9).len(), 1);
+        assert_eq!(n.next_completion(), before);
+        assert_eq!(n.shares.len(), 1);
+        assert_eq!(n.shares.rate(0), 1e9);
+        assert!(n.staged_starts.is_empty() && n.staged_ends.is_empty());
     }
 
     #[test]

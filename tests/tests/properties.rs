@@ -6,9 +6,18 @@ use fela_engine::{seeded_schedule, EngineNet, SplitPlan, Tensor, TokenExecutor};
 use fela_metrics::stats;
 use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
 use fela_net::fairshare::{max_min_rates, FlowLinks, IncrementalMaxMin};
-use fela_sim::{EventQueue, SimTime};
+use fela_net::{FlowId, FlowSpec, Network, NetworkConfig, NodeId};
+use fela_sim::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// A completion or abort list in comparable form: id and every spec field.
+fn flow_list(flows: &[(FlowId, FlowSpec)]) -> Vec<(FlowId, NodeId, NodeId, u64, u64)> {
+    flows
+        .iter()
+        .map(|&(id, s)| (id, s.src, s.dst, s.bytes, s.tag))
+        .collect()
+}
 
 fn pow2_weight() -> impl Strategy<Value = u64> {
     prop_oneof![Just(1u64), Just(2), Just(4), Just(8)]
@@ -171,12 +180,13 @@ proptest! {
 
     /// The incremental fair-share engine stays *bit-identical* to the stateless
     /// oracle over arbitrary star-topology flow churn: random interleavings of
-    /// single inserts, single removals and batched removals, checked after every
-    /// operation against `max_min_rates` over the surviving flow set in
-    /// ascending-key order (the engine's canonical order).
+    /// single inserts, single removals, batched removals and mixed
+    /// insert/remove batches, checked after every operation against
+    /// `max_min_rates` over the surviving flow set in ascending-key order (the
+    /// engine's canonical order).
     #[test]
     fn incremental_fairshare_is_bit_identical_to_oracle(
-        ops in prop::collection::vec((0usize..4, 0usize..6, 0usize..6, 0usize..64), 1..60),
+        ops in prop::collection::vec((0usize..5, 0usize..6, 0usize..6, 0usize..64), 1..60),
     ) {
         let caps = vec![1e9f64; 6];
         let mut engine = IncrementalMaxMin::new(caps.clone(), caps.clone());
@@ -204,6 +214,31 @@ proptest! {
                         mirror.remove(k);
                     }
                 }
+                // A mixed batch through the batch entry point: two fresh
+                // flows (the second removed again in the same batch when `sel`
+                // is odd) and the removal of one live flow — an instant at
+                // which flows start, complete and abort together.
+                3 => {
+                    let fresh = [
+                        (next_key, FlowLinks { egress: src, ingress: dst }),
+                        (next_key + 1, FlowLinks { egress: dst, ingress: src }),
+                    ];
+                    next_key += 2;
+                    let mut removals = Vec::new();
+                    if !alive.is_empty() {
+                        removals.push(alive[sel % alive.len()]);
+                    }
+                    if sel % 2 == 1 {
+                        removals.push(fresh[1].0);
+                    }
+                    engine.apply_batch(&fresh, &removals);
+                    for (key, links) in fresh {
+                        mirror.insert(key, links);
+                    }
+                    for key in &removals {
+                        mirror.remove(key);
+                    }
+                }
                 // Insert (also the fallback for removal ops on an empty set).
                 _ => {
                     let links = FlowLinks { egress: src, ingress: dst };
@@ -229,6 +264,86 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Settling the network once per instant is invisible: two networks run
+    /// one random script of same-instant bursts (starts, including same-node
+    /// and zero-byte flows, completion reads, aborts and node failures). The
+    /// eager one asks `next_completion` after every mutation; the batched one
+    /// asks at most once per instant, and at some instants not at all, so its
+    /// staged changes must settle when the clock moves. Every completion
+    /// estimate and every completion and abort list must match bit for bit,
+    /// and the reported `bytes_delivered` exactly.
+    #[test]
+    fn same_instant_batching_matches_the_eager_schedule(
+        bursts in prop::collection::vec(
+            (
+                0u64..4,
+                prop::collection::vec((0usize..9, 0usize..4, 0usize..4, 0usize..5), 1..7),
+                any::<bool>(),
+            ),
+            1..30,
+        ),
+    ) {
+        let config = NetworkConfig {
+            nodes: 4,
+            link_bandwidth: 1e9,
+            latency: SimDuration::from_micros(50),
+        };
+        let mut eager = Network::new(config);
+        let mut batched = Network::new(config);
+        let mut now = SimTime::ZERO;
+        for (step, ops, ask) in bursts {
+            now = match step {
+                // Jump to the next completion, so completion reads find work.
+                0 => eager.next_completion().map_or(now, |t| t.max(now)),
+                // Another burst at the same instant.
+                1 => now,
+                _ => now + SimDuration::from_micros(step * 137),
+            };
+            for (kind, a, b, c) in ops {
+                let (got_eager, got_batched) = match kind {
+                    0..=4 => {
+                        let spec = FlowSpec {
+                            src: NodeId(a),
+                            dst: NodeId(b),
+                            bytes: [0, 1_000, 300_000, 1_000_000, 7_777_777][c],
+                            tag: (c % 3) as u64,
+                        };
+                        prop_assert_eq!(eager.start_flow(now, spec), batched.start_flow(now, spec));
+                        (Vec::new(), Vec::new())
+                    }
+                    5 | 6 => (eager.take_completions(now), batched.take_completions(now)),
+                    7 => {
+                        let tag = (c % 3) as u64;
+                        (
+                            eager.abort_matching(now, |s| s.tag == tag),
+                            batched.abort_matching(now, |s| s.tag == tag),
+                        )
+                    }
+                    _ => (eager.fail_node(now, NodeId(a)), batched.fail_node(now, NodeId(a))),
+                };
+                prop_assert_eq!(flow_list(&got_eager), flow_list(&got_batched));
+                eager.next_completion();
+                prop_assert_eq!(eager.bytes_delivered(), batched.bytes_delivered());
+                prop_assert_eq!(eager.active_flows(), batched.active_flows());
+            }
+            if ask {
+                prop_assert_eq!(eager.next_completion(), batched.next_completion());
+            }
+        }
+        // Drain both to the end: every remaining completion must coincide. An
+        // estimate the script already stepped past completes at `now`.
+        while let Some(t) = eager.next_completion() {
+            prop_assert_eq!(Some(t), batched.next_completion());
+            now = t.max(now);
+            prop_assert_eq!(
+                flow_list(&eager.take_completions(now)),
+                flow_list(&batched.take_completions(now))
+            );
+            prop_assert_eq!(eager.bytes_delivered(), batched.bytes_delivered());
+        }
+        prop_assert_eq!(batched.next_completion(), None);
     }
 
     /// `StragglerModel::delay_for` is a pure function of `(iteration, worker)`:
