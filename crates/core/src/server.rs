@@ -936,6 +936,19 @@ impl ControlPlane {
             .map(|b| (b, true))
     }
 
+    /// Whether `worker`'s next grant would come from its own STB rather than
+    /// be a §III-E steal — a read-only probe of [`Self::pick_bucket`]'s
+    /// own-bucket and CTD-class check that records nothing. Always true with
+    /// HF off (one global bucket, nothing to steal from); false for an
+    /// unknown, dead or quarantined worker. A pipelined puller stops at the
+    /// first `false`: a worker helps another only when it would otherwise
+    /// idle.
+    pub fn next_grant_is_own(&self, worker: usize) -> bool {
+        worker < self.n_workers
+            && self.eligible(worker)
+            && (!self.cfg.hf || matches!(self.pick_bucket(worker), Some((_, false))))
+    }
+
     /// Picks `(level, token)` inside a bucket per ADS/CTD, walking the static
     /// preference order for the requester's CTD class.
     fn pick_token(&self, bucket: usize, worker: usize) -> Option<(usize, TokenId)> {
@@ -1539,6 +1552,7 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RecoveryConfig;
     use crate::plan::TokenPlan;
     use fela_model::{bin_partition, zoo, PartitionOptions, ThresholdProfile};
 
@@ -1697,6 +1711,47 @@ mod tests {
         assert_eq!(g2.fetches.len(), 1);
         assert_eq!(g2.fetches[0].0, 1);
         assert!(g2.fetches[0].1 > 0, "stolen roots fetch their samples");
+    }
+
+    #[test]
+    fn next_grant_is_own_marks_the_steal_boundary() {
+        let mut ts = server(|c| c);
+        ts.enable_op_log();
+        assert!(ts.next_grant_is_own(0), "own STB holds a root");
+        ts.request(0, t(0)).unwrap().unwrap();
+        let snap = ts.snapshot();
+        assert!(
+            !ts.next_grant_is_own(0),
+            "own STB empty, foreign STBs not: the next grant is a steal"
+        );
+        assert!(ts.next_grant_is_own(1), "worker 1's root is untouched");
+        assert!(!ts.next_grant_is_own(N), "unknown worker");
+        assert_eq!(ts.snapshot(), snap, "the query mutates nothing");
+        assert_eq!(ts.take_op_log().len(), 1, "and records no op");
+        ts.request(0, t(1_000_000)).unwrap().unwrap();
+        assert_eq!(ts.stats().steals, 1, "the next grant was indeed a steal");
+
+        // HF off: one global bucket, so no grant is ever a steal.
+        let mut global = server(|c| c.with_hf(false));
+        for w in 0..N {
+            assert!(global.next_grant_is_own(w));
+            global.request(w, t(w as u64)).unwrap().unwrap();
+        }
+        assert!(global.next_grant_is_own(0), "even once drained");
+
+        // The global bucket keeps work, so only eligibility can say no.
+        let recovery = RecoveryConfig {
+            quarantine_after: 1,
+            ..RecoveryConfig::default()
+        };
+        let mut ts = server(|c| c.with_hf(false).with_recovery(recovery));
+        ts.worker_crashed(2).unwrap();
+        assert!(!ts.next_grant_is_own(2), "a crashed worker");
+        let g = ts.request(3, t(0)).unwrap().unwrap();
+        let expired = ts.lease_expired(g.token.id, g.attempt).unwrap().unwrap();
+        assert!(expired.quarantined);
+        assert!(!ts.next_grant_is_own(3), "a quarantined worker");
+        assert!(ts.next_grant_is_own(4), "while the bucket still has work");
     }
 
     #[test]

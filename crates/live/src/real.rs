@@ -36,6 +36,14 @@
 //! with one `ReportBatch`, so per-token cost on both sides is
 //! `O(1/pipeline)` syscalls and wakeups.
 //!
+//! A pipelined pull is work-conserving, as the paper's HF policy requires:
+//! only its first grant may be a §III-E steal, and it stops as soon as the
+//! next grant would come from another worker's STB
+//! ([`ControlPlane::next_grant_is_own`]). A worker therefore helps another
+//! only when it would otherwise idle: a batch that kept stealing would drain
+//! the other worker's bucket and work through it serially while its owner
+//! waited.
+//!
 //! Probes are pruned by protocol accounting rather than readiness syscalls:
 //! each link owes exactly one inbound frame per (re)spawn plus one reply per
 //! flushed batch (`expect_replies`), and a reply cannot arrive before the
@@ -85,9 +93,9 @@ pub struct RealOptions {
     /// Floor on real restart downtime.
     pub min_down: Duration,
     /// Maximum tokens pulled per worker per report (grant pipelining): each
-    /// report piggybacks up to this many requests and the resulting grants
-    /// ship as one `GrantBatch` frame. `1` restores the strict one-token
-    /// request/grant/report cycle.
+    /// report piggybacks up to `pipeline` tokens, at most one stolen, and
+    /// only as the first; the resulting grants ship as one `GrantBatch`
+    /// frame. `1` restores the strict one-token request/grant/report cycle.
     pub pipeline: usize,
 }
 
@@ -291,11 +299,17 @@ impl RealServer<'_> {
         self.pending[worker].push(grant);
     }
 
-    /// Pulls up to `pipeline` tokens for `worker` into its pending batch. The
-    /// first starved request stops the loop (the worker is then queued
+    /// Pulls up to `pipeline` tokens for `worker` into its pending batch.
+    /// Only the first grant may be a steal: every later one must come from
+    /// the worker's own STB ([`ControlPlane::next_grant_is_own`]), so a
+    /// worker helps another only when it would otherwise idle. The first
+    /// starved request also stops the loop (the worker is then queued
     /// server-side and served later by [`Self::drain_ready`]).
     fn pull_into(&mut self, worker: usize) {
-        for _ in 0..self.opts.pipeline.max(1) {
+        for n in 0..self.opts.pipeline.max(1) {
+            if n > 0 && !self.server.next_grant_is_own(worker) {
+                break;
+            }
             match self.server.request(worker, self.now_sim()) {
                 Ok(Some(grant)) => self.queue_grant(worker, grant),
                 Ok(None) => break,

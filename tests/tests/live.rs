@@ -222,3 +222,46 @@ fn real_clock_smoke_matches_virtual_params() {
         assert!(real.tokens_per_sec > 0.0, "{tname}");
     }
 }
+
+#[test]
+fn pipelined_real_pulls_keep_workers_balanced() {
+    // Work conservation under grant pipelining (the paper's HF rule): a
+    // worker may steal only when its own STB is empty, i.e. only as the
+    // first grant of a pull. If every grant of a 16-deep pull may steal, one
+    // worker drains the other's bucket; on this two-worker, equal-speed
+    // cluster the trained-token split then ranges from 1.1× to 2.4× run to
+    // run, so three runs must all stay balanced to catch it reliably.
+    let mut scenario = Scenario::paper(zoo::alexnet(), 256).with_iterations(200);
+    scenario.cluster = ClusterSpec::k40c_cluster(2);
+    let m = FelaRuntime::new(FelaConfig::new(1))
+        .partition_for(&scenario)
+        .len();
+    let config = FelaConfig::new(m).with_staleness(8);
+    let virt = run_virtual(&config, &scenario, &mut ChanTransport).expect("virtual run");
+    for run in 0..3 {
+        let real = run_real(
+            &config,
+            &scenario,
+            &mut ChanTransport,
+            RealOptions {
+                time_scale: 2e-3,
+                pipeline: 16,
+                ..RealOptions::default()
+            },
+        )
+        .expect("real run completes");
+        assert_eq!(real.iterations, scenario.iterations, "run {run}");
+        assert_eq!(
+            real.params, virt.params,
+            "run {run}: real-clock params must be bit-equal to the virtual run"
+        );
+        let trained = &real.trained_per_worker;
+        let (Some(&lo), Some(&hi)) = (trained.iter().min(), trained.iter().max()) else {
+            panic!("no per-worker counts");
+        };
+        assert!(
+            (hi as f64) < 1.5 * lo as f64,
+            "run {run}: per-worker trained tokens {trained:?}; the larger must be under 1.5× the smaller"
+        );
+    }
+}
