@@ -10,10 +10,14 @@
 //! churn, and the incremental boundary re-tune must beat re-running the
 //! full two-phase search from scratch at every boundary.
 
+use std::sync::{Arc, Mutex};
+
 use fela_baselines::{DpRuntime, HpRuntime};
-use fela_cluster::{ResizeModel, Scenario};
-use fela_elastic::{ElasticOptions, ElasticRuntime, IncrementalTuner, StopRestartRuntime};
-use fela_metrics::{f2, Table};
+use fela_cluster::{ResizeModel, Scenario, TrainingRuntime};
+use fela_elastic::{
+    ElasticOptions, ElasticPlan, ElasticRuntime, IncrementalTuner, StopRestartRuntime,
+};
+use fela_metrics::{f2, RunReport, Table};
 use fela_model::zoo;
 use serde::Serialize;
 
@@ -67,14 +71,40 @@ fn churn_settings() -> Vec<(String, ResizeModel)> {
         .collect()
 }
 
-/// Plans the elastic run and compares the incremental boundary re-tune
-/// against a from-scratch full search at every boundary (same scenarios,
-/// same budget). Returns `(plan, incremental_secs, full_secs)`.
-fn search_cost_comparison(
-    runtime: &ElasticRuntime,
-    sc: &Scenario,
-) -> (fela_elastic::ElasticPlan, f64, f64) {
-    let plan = runtime.plan(sc).expect("elastic plan");
+/// The plan each churn setting's elastic run made, keyed by its resize
+/// model.
+type Plans = Arc<Mutex<Vec<(ResizeModel, ElasticPlan)>>>;
+
+/// The sweep's `fela-elastic` runtime: it keeps the plan each run made, so
+/// each churn setting is planned once for both its sweep run and its row.
+struct PlanKeepingElastic {
+    runtime: ElasticRuntime,
+    plans: Plans,
+}
+
+impl TrainingRuntime for PlanKeepingElastic {
+    fn name(&self) -> &'static str {
+        "fela-elastic"
+    }
+
+    fn run(&self, scenario: &Scenario) -> RunReport {
+        let outcome = self
+            .runtime
+            .run_elastic(scenario)
+            .unwrap_or_else(|e| panic!("elastic plan failed: {e}"));
+        let mut plans = self
+            .plans
+            .lock()
+            .expect("no run panicked holding the plans");
+        plans.push((scenario.resize.clone(), outcome.plan));
+        outcome.report
+    }
+}
+
+/// Compares the plan's incremental boundary re-tune against a from-scratch
+/// full search at every boundary (same scenarios, same budget). Returns
+/// `(incremental_secs, full_secs)`.
+fn search_cost_comparison(plan: &ElasticPlan) -> (f64, f64) {
     // `fold(0.0, ..)` rather than `sum()`: the empty-sum identity is -0.0,
     // which would print as "-0.00" in the resize-free row.
     let incremental: f64 = plan
@@ -94,7 +124,7 @@ fn search_cost_comparison(
             stats.search_secs
         })
         .fold(0.0, |a, b| a + b);
-    (plan, incremental, full)
+    (incremental, full)
 }
 
 fn elastic_experiment(experiment: &str, model: &fela_model::Model, jobs: usize) -> Vec<ElasticRow> {
@@ -104,9 +134,14 @@ fn elastic_experiment(experiment: &str, model: &fela_model::Model, jobs: usize) 
         ..ElasticOptions::default()
     };
     let settings = churn_settings();
+    let plans: Plans = Arc::default();
+    let kept = Arc::clone(&plans);
     let mut spec = fela_harness::SweepSpec::new(experiment)
         .runtime("fela-elastic", move |_| {
-            Box::new(ElasticRuntime::new(options))
+            Box::new(PlanKeepingElastic {
+                runtime: ElasticRuntime::new(options),
+                plans: Arc::clone(&kept),
+            })
         })
         .runtime("dp-restart", |_| {
             Box::new(StopRestartRuntime::new(DpRuntime::default(), "dp-restart"))
@@ -122,12 +157,15 @@ fn elastic_experiment(experiment: &str, model: &fela_model::Model, jobs: usize) 
         eprintln!("warning: cannot write {experiment} artifacts: {e}");
     }
 
-    let runtime = ElasticRuntime::new(options);
+    let plans = plans.lock().expect("the sweep has finished");
     settings
         .iter()
         .map(|(label, resize)| {
-            let sc = base.clone().with_resize(resize.clone());
-            let (plan, incremental, full) = search_cost_comparison(&runtime, &sc);
+            let (_, plan) = plans
+                .iter()
+                .find(|(planned, _)| planned == resize)
+                .expect("the sweep ran every setting");
+            let (incremental, full) = search_cost_comparison(plan);
             let retune = plan.retune_totals();
             let mut makespan = [0.0; 3];
             for (i, rt) in RUNTIMES.iter().enumerate() {

@@ -10,11 +10,15 @@
 //! `T_scratch = T_crash + downtime + T_full` (the work done before the crash
 //! is thrown away, the server sits out the downtime, then retrains from
 //! iteration 0).
+//!
+//! Each model is tuned and run uninterrupted once; the twelve crashed runs
+//! then fan out across the harness executor. Their in-memory logs stay small
+//! because every checkpoint carries only the plane's live window.
 
-use fela_cluster::{FaultModel, TrainingRuntime as _};
-use fela_core::FelaRuntime;
+use fela_cluster::{FaultModel, Scenario, TrainingRuntime as _};
+use fela_core::{FelaConfig, FelaRuntime};
 use fela_metrics::{f2, Table};
-use fela_model::zoo;
+use fela_model::{zoo, Model};
 use fela_sim::SimDuration;
 use serde::Serialize;
 
@@ -64,42 +68,57 @@ fn crash_settings(iterations: u64) -> Vec<(u64, u64)> {
     settings
 }
 
-fn server_recovery_experiment(model: &fela_model::Model) -> Vec<ServerRecoveryRow> {
+/// One model's uninterrupted reference: its scenario, tuned configuration
+/// and makespan.
+struct Reference {
+    model: Model,
+    base: Scenario,
+    config: FelaConfig,
+    t_full: f64,
+}
+
+fn reference(model: Model) -> Reference {
     let base = scenario(model.clone(), BATCH);
     let config = tuned_fela(&base);
-    let baseline = FelaRuntime::new(config.clone()).run(&base);
-    let t_full = baseline.total_time_secs;
-    crash_settings(base.iterations)
-        .into_iter()
-        .map(|(crash_iteration, down_secs)| {
-            let sc = base.clone().with_fault(FaultModel::ServerCrashRestart {
-                iteration: crash_iteration,
-                down: SimDuration::from_secs(down_secs),
-            });
-            let report = FelaRuntime::new(config.clone()).run(&sc);
-            let t_durable = report.total_time_secs;
-            // Restart-from-scratch loses the pre-crash work: it pays the time
-            // up to the crash, the downtime, then the full run again.
-            let t_crash = t_full * crash_iteration as f64 / base.iterations as f64;
-            let t_scratch = t_crash + down_secs as f64 + t_full;
-            ServerRecoveryRow {
-                model: model.name.clone(),
-                batch: BATCH,
-                setting: format!(
-                    "crash@{}%, down={down_secs}s",
-                    100 * crash_iteration / base.iterations
-                ),
-                crash_iteration,
-                down_secs,
-                t_full,
-                t_durable,
-                t_scratch,
-                advantage: t_scratch / t_durable,
-                server_crashes: report.counter("server_crashes"),
-                server_restarts: report.counter("server_restarts"),
-            }
-        })
-        .collect()
+    let t_full = FelaRuntime::new(config.clone()).run(&base).total_time_secs;
+    Reference {
+        model,
+        base,
+        config,
+        t_full,
+    }
+}
+
+/// Crashes the server at `crash_iteration` for `down_secs` and compares the
+/// durable makespan with the restart-from-scratch model.
+fn crashed_run(r: &Reference, crash_iteration: u64, down_secs: u64) -> ServerRecoveryRow {
+    let sc = r.base.clone().with_fault(FaultModel::ServerCrashRestart {
+        iteration: crash_iteration,
+        down: SimDuration::from_secs(down_secs),
+    });
+    let report = FelaRuntime::new(r.config.clone()).run(&sc);
+    let t_durable = report.total_time_secs;
+    let iterations = r.base.iterations;
+    // Restart-from-scratch loses the pre-crash work: it pays the time up to
+    // the crash, the downtime, then the full run again.
+    let t_crash = r.t_full * crash_iteration as f64 / iterations as f64;
+    let t_scratch = t_crash + down_secs as f64 + r.t_full;
+    ServerRecoveryRow {
+        model: r.model.name.clone(),
+        batch: BATCH,
+        setting: format!(
+            "crash@{}%, down={down_secs}s",
+            100 * crash_iteration / iterations
+        ),
+        crash_iteration,
+        down_secs,
+        t_full: r.t_full,
+        t_durable,
+        t_scratch,
+        advantage: t_scratch / t_durable,
+        server_crashes: report.counter("server_crashes"),
+        server_restarts: report.counter("server_restarts"),
+    }
 }
 
 fn print_server_recovery_table(title: &str, rows: &[ServerRecoveryRow]) {
@@ -125,21 +144,40 @@ fn print_server_recovery_table(title: &str, rows: &[ServerRecoveryRow]) {
     print!("{}", table.render());
 }
 
-/// Runs the server-recovery sweeps (`jobs` is unused — each run is a single
-/// short simulation, so the sweep runs inline).
-pub fn run(_jobs: usize) {
-    let mut all = Vec::new();
-    for model in [zoo::vgg19(), zoo::googlenet()] {
-        let rows = server_recovery_experiment(&model);
+/// Runs the server-recovery sweeps: the references in order, then every
+/// crashed run on `jobs` worker threads. Rows land in model-then-setting
+/// order whatever the job count.
+pub fn run(jobs: usize) {
+    let references: Vec<Reference> = [zoo::vgg19(), zoo::googlenet()]
+        .into_iter()
+        .map(reference)
+        .collect();
+    let runs: Vec<(&Reference, u64, u64)> = references
+        .iter()
+        .flat_map(|r| {
+            crash_settings(r.base.iterations)
+                .into_iter()
+                .map(move |(crash_iteration, down_secs)| (r, crash_iteration, down_secs))
+        })
+        .collect();
+    let all = fela_harness::run_indexed(runs.len(), jobs, |i| {
+        let (r, crash_iteration, down_secs) = runs[i];
+        crashed_run(r, crash_iteration, down_secs)
+    });
+    for r in &references {
+        let rows: Vec<ServerRecoveryRow> = all
+            .iter()
+            .filter(|row| row.model == r.model.name)
+            .cloned()
+            .collect();
         print_server_recovery_table(
             &format!(
                 "Server recovery — {} (fig_server_recovery_{})",
-                model.name,
-                model_slug(&model.name)
+                r.model.name,
+                model_slug(&r.model.name)
             ),
             &rows,
         );
-        all.extend(rows);
     }
     for r in &all {
         assert_eq!(

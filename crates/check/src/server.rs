@@ -86,8 +86,9 @@ pub struct TokenServer {
     /// Iterations whose root tokens have been released (0..count).
     released_roots: u64,
     next_token_id: u64,
-    /// All generated tokens. Ordered map: scheduling decisions and artifacts
-    /// must never depend on hash-iteration order.
+    /// The live window's tokens: iterations not yet synced at every level.
+    /// Ordered map: scheduling decisions and artifacts must never depend on
+    /// hash-iteration order.
     tokens: BTreeMap<TokenId, Token>,
     /// `stbs[worker][level]` — distributable tokens. With HF off only `stbs[0]`
     /// is used (the global bucket).
@@ -221,12 +222,13 @@ impl TokenServer {
         self.max_iterations
     }
 
-    /// A generated token by id (introspection for checkers).
+    /// A live token by id (introspection for checkers); `None` once its
+    /// iteration has retired.
     pub fn token(&self, id: TokenId) -> Option<&Token> {
         self.tokens.get(&id)
     }
 
-    /// The full token table (pair with [`Self::snapshot`] for
+    /// The live token table (pair with [`Self::snapshot`] for
     /// [`Self::restore`]).
     pub fn tokens(&self) -> &BTreeMap<TokenId, Token> {
         &self.tokens
@@ -755,7 +757,8 @@ impl TokenServer {
                 .collect();
         }
         // `generated` is derivable: level ≥ 1 tokens are created only by the
-        // generator and never dropped from the token table.
+        // generator and leave the token table only when their whole
+        // iteration retires, together with its counter.
         let gen_pairs: Vec<(usize, u64)> = s
             .tokens
             .values()
@@ -1198,12 +1201,14 @@ impl TokenServer {
         token: TokenId,
     ) -> Result<Vec<SyncSpec>, ScheduleError> {
         self.check_worker(worker)?;
-        let (level, iteration) = {
-            let t = self
-                .tokens
-                .get(&token)
-                .ok_or(ScheduleError::UnknownToken { token })?;
-            (t.level, t.iteration)
+        let (level, iteration) = match self.tokens.get(&token) {
+            Some(t) => (t.level, t.iteration),
+            // A minted id missing from the table belongs to a retired
+            // iteration: the report is late, not unknown.
+            None if token.0 < self.next_token_id => {
+                return Err(ScheduleError::StaleReport { worker, token })
+            }
+            None => return Err(ScheduleError::UnknownToken { token }),
         };
         if self.recovery_on() {
             // Exactly-once gradient application: only the current lease holder
@@ -1310,7 +1315,33 @@ impl TokenServer {
         }
         self.levels[level].pending = still_pending;
         self.release_due_roots();
+        self.retire_completed();
         Ok(())
+    }
+
+    /// Retires every iteration synced at every level: its tokens leave the
+    /// token table, the Info Mapping and the lease attempts, and its
+    /// per-level counters go (a scan of the live window). The score index
+    /// needs nothing: it holds only queued tokens, and a retired iteration
+    /// has none.
+    fn retire_completed(&mut self) {
+        let done = self.completed_iterations();
+        let retired: Vec<TokenId> = self
+            .tokens
+            .values()
+            .filter(|t| t.iteration < done)
+            .map(|t| t.id)
+            .collect();
+        for id in retired {
+            self.tokens.remove(&id);
+            self.holder.remove(&id);
+            self.attempts.remove(&id);
+        }
+        for ls in &mut self.levels {
+            ls.completed.retain(|&it, _| it >= done);
+            ls.gen_buffer.retain(|&it, _| it >= done);
+            ls.generated.retain(|&it, _| it >= done);
+        }
     }
 
     fn generate_token(

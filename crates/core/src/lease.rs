@@ -85,6 +85,12 @@ impl LeaseTable {
         true
     }
 
+    /// Drops a retired token's revocation count (its iteration committed,
+    /// so it is never granted again).
+    pub(crate) fn forget(&mut self, token: TokenId) {
+        self.attempts.remove(&token);
+    }
+
     /// Every token `worker` currently leases, in token-id order.
     pub(crate) fn held_by(&self, worker: usize) -> Vec<TokenId> {
         self.leases

@@ -136,7 +136,8 @@ pub(crate) struct LevelTable {
     n_workers: usize,
     levels: Vec<LevelSlot>,
     /// Sparse `(worker, score key)` index entries of every STB-resident token,
-    /// kept so `remove` can drop them without recomputing scores.
+    /// kept so `remove` can drop them without recomputing scores. A token's
+    /// entry leaves with the token, so the map stays as small as the queues.
     score_keys: BTreeMap<TokenId, Vec<(usize, u64)>>,
 }
 
@@ -169,6 +170,21 @@ impl LevelTable {
 
     pub(crate) fn state_mut(&mut self, level: usize) -> &mut LevelState {
         &mut self.levels[level].state
+    }
+
+    /// Whether `id` has score-index entries (it is STB-resident).
+    pub(crate) fn is_indexed(&self, id: TokenId) -> bool {
+        self.score_keys.contains_key(&id)
+    }
+
+    /// Drops a retired iteration's per-level counters and any leftover
+    /// generation group.
+    pub(crate) fn retire(&mut self, iteration: u64) {
+        for slot in &mut self.levels {
+            slot.state.completed.remove(&iteration);
+            slot.state.gen_buffer.remove(&iteration);
+            slot.state.generated.remove(&iteration);
+        }
     }
 
     /// Queue length of `bucket`'s STB segment at `level`.

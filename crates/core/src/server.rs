@@ -182,10 +182,15 @@ pub struct ControlPlane {
     /// Iterations whose root tokens have been released (0..count).
     released_roots: u64,
     next_token_id: u64,
-    /// All generated tokens. Ordered map: scheduling decisions and artifacts
-    /// must never depend on hash-iteration order.
+    /// The live window's tokens: every iteration not yet synced at every
+    /// level (see [`Self::retire_completed`]). Ordered map: scheduling
+    /// decisions and artifacts must never depend on hash-iteration order.
     tokens: BTreeMap<TokenId, Token>,
-    /// Completed-token outputs: token → holding worker (Info Mapping).
+    /// The retirement index: live token ids per iteration, so retiring an
+    /// iteration names its tokens without scanning the table.
+    by_iteration: BTreeMap<u64, Vec<TokenId>>,
+    /// Completed-token outputs of the live window: token → holding worker
+    /// (Info Mapping).
     holder: BTreeMap<TokenId, usize>,
     /// Every level's bookkeeping, STB queues and pick indices.
     levels: LevelTable,
@@ -319,6 +324,7 @@ impl ControlPlane {
             released_roots: 0,
             next_token_id: 0,
             tokens: BTreeMap::new(),
+            by_iteration: BTreeMap::new(),
             holder: BTreeMap::new(),
             levels,
             cond_level,
@@ -343,8 +349,8 @@ impl ControlPlane {
         }
     }
 
-    /// Restores a plane from a snapshot plus the token table it refers to
-    /// (the WAL recovery path). The result snapshots back bit-identically and
+    /// Restores a plane from a snapshot plus the live token table it refers
+    /// to (the WAL recovery path). The result snapshots back bit-identically and
     /// continues exactly as a plane that reached the snapshot live
     /// (timing-only state — conflict instants and counters — restarts empty,
     /// as documented on [`ServerSnapshot`]). Op logging and the WAL start
@@ -361,6 +367,9 @@ impl ControlPlane {
         let mut c = Self::empty(plan, cfg, meta, n_workers, max_iterations);
         c.released_roots = snap.released_roots;
         c.next_token_id = snap.next_token_id;
+        for t in tokens.values() {
+            c.by_iteration.entry(t.iteration).or_default().push(t.id);
+        }
         c.tokens = tokens;
         c.holder = snap.holder.iter().map(|&(t, w)| (TokenId(t), w)).collect();
         for level in 0..c.plan.num_levels() {
@@ -383,7 +392,8 @@ impl ControlPlane {
             }
         }
         // `generated` is derivable: level ≥ 1 tokens are created only by the
-        // generator and never dropped from the token table.
+        // generator and leave the token table only when their whole
+        // iteration retires, together with its counter.
         for t in c.tokens.values().filter(|t| t.level >= 1) {
             *c.levels
                 .state_mut(t.level)
@@ -468,9 +478,10 @@ impl ControlPlane {
         self.wal.0.is_some()
     }
 
-    /// Appends a full-state checkpoint (snapshot + token table + the opaque
-    /// runtime `payload`) to the attached log and syncs it. No-op when no
-    /// log is attached.
+    /// Appends a checkpoint of the live window — the snapshot, the live token
+    /// table and the opaque runtime `payload` — to the attached log and
+    /// syncs it. Retired iterations are in neither, so its size follows the
+    /// window, not the run length. No-op when no log is attached.
     pub fn checkpoint_wal(&mut self, payload: &[u8]) -> std::io::Result<()> {
         if self.wal.0.is_none() {
             return Ok(());
@@ -535,12 +546,13 @@ impl ControlPlane {
         self.max_iterations
     }
 
-    /// A generated token by id (introspection for checkers).
+    /// A live token by id (introspection for checkers); `None` once its
+    /// iteration has retired.
     pub fn token(&self, id: TokenId) -> Option<&Token> {
         self.tokens.get(&id)
     }
 
-    /// The full token table (pair with [`Self::snapshot`] for restore).
+    /// The live token table (pair with [`Self::snapshot`] for restore).
     pub fn tokens(&self) -> &BTreeMap<TokenId, Token> {
         &self.tokens
     }
@@ -1033,12 +1045,15 @@ impl ControlPlane {
         token: TokenId,
     ) -> Result<Vec<SyncSpec>, ScheduleError> {
         self.check_worker(worker)?;
-        let (level, iteration) = {
-            let t = self
-                .tokens
-                .get(&token)
-                .ok_or(ScheduleError::UnknownToken { token })?;
-            (t.level, t.iteration)
+        let (level, iteration) = match self.tokens.get(&token) {
+            Some(t) => (t.level, t.iteration),
+            // Ids are minted densely, so a minted id the table no longer
+            // holds belongs to a retired iteration: a late report of work
+            // that was already committed.
+            None if token.0 < self.next_token_id => {
+                return Err(ScheduleError::StaleReport { worker, token })
+            }
+            None => return Err(ScheduleError::UnknownToken { token }),
         };
         if self.recovery_on() {
             // Only the current lease holder may report: a report from a
@@ -1123,7 +1138,41 @@ impl ControlPlane {
             self.stb_push(bucket, level, id)?;
         }
         self.release_due_roots();
+        self.retire_completed();
         Ok(())
+    }
+
+    /// Retires every iteration that has synced at every level: its tokens
+    /// leave the token table, the Info Mapping and the lease attempts, and
+    /// its per-level counters go. Nothing refers to them any more — every
+    /// token of the iteration was reported, so none is queued, parked,
+    /// pending or leased, and later iterations depend only on their own
+    /// tokens. The `by_iteration` index names the tokens, so this costs
+    /// O(tokens retired · log n).
+    fn retire_completed(&mut self) {
+        let done = self.completed_iterations();
+        while let Some(entry) = self.by_iteration.first_entry() {
+            if *entry.key() >= done {
+                return;
+            }
+            let (iteration, ids) = entry.remove_entry();
+            for id in ids {
+                self.tokens.remove(&id);
+                self.holder.remove(&id);
+                self.leases.forget(id);
+                debug_assert!(!self.levels.is_indexed(id), "retired {id:?} is queued");
+            }
+            self.levels.retire(iteration);
+        }
+    }
+
+    /// Adds a freshly minted token to the live window.
+    fn mint(&mut self, token: Token) {
+        self.by_iteration
+            .entry(token.iteration)
+            .or_default()
+            .push(token.id);
+        self.tokens.insert(token.id, token);
     }
 
     fn generate_token(
@@ -1156,7 +1205,7 @@ impl ControlPlane {
             deps,
             sample_owner: None,
         };
-        self.tokens.insert(id, token);
+        self.mint(token);
         // Generated tokens land in the reporter's STB (it holds at least one
         // dep) — unless CTD forbids the reporter from training this level, in
         // which case they go to the least-loaded eligible subset member.
@@ -1218,7 +1267,7 @@ impl ControlPlane {
                 deps: vec![],
                 sample_owner: Some(owner),
             };
-            self.tokens.insert(id, token);
+            self.mint(token);
             // Sample affinity: the root goes to the STB of the worker its
             // samples live on — or the first eligible worker if that one is
             // out.
@@ -2170,6 +2219,51 @@ mod tests {
                 token: TokenId(999)
             }
         );
+    }
+
+    #[test]
+    fn a_synced_iteration_retires_and_its_late_reports_are_stale() {
+        let mut ts = server(|c| c);
+        let mut clock = 0u64;
+        drain_until(&mut ts, &mut clock, 1);
+        let snap = ts.snapshot();
+        assert!(
+            ts.tokens().values().all(|t| t.iteration >= 1),
+            "iteration 0 left the token table"
+        );
+        assert!(ts.token(TokenId(0)).is_none());
+        assert!(snap
+            .holder
+            .iter()
+            .all(|&(id, _)| ts.token(TokenId(id)).is_some()));
+        for level in 0..ts.plan().num_levels() {
+            assert!(snap.completed[level].iter().all(|&(it, _)| it >= 1));
+            assert!(snap.gen_buffers[level].iter().all(|&(it, _)| it >= 1));
+            assert!(ts.level_state(level).generated.keys().all(|&it| it >= 1));
+        }
+        // A late report of retired work is stale, not unknown, and changes
+        // nothing.
+        let err = ts.report(0, TokenId(0)).unwrap_err();
+        assert_eq!(
+            err,
+            ScheduleError::StaleReport {
+                worker: 0,
+                token: TokenId(0)
+            }
+        );
+        assert_eq!(ts.snapshot(), snap);
+        // An id never minted is still unknown.
+        let unminted = TokenId(snap.next_token_id);
+        assert_eq!(
+            ts.report(0, unminted).unwrap_err(),
+            ScheduleError::UnknownToken { token: unminted }
+        );
+        // The retired window restores: a checkpoint needs nothing behind it.
+        let (plan, meta) = meta_from_vgg();
+        let cfg = FelaConfig::new(3).with_weights(vec![1, 2, 4]);
+        let restored =
+            ControlPlane::restore(plan, cfg, meta, N, 100, ts.tokens().clone(), &snap).unwrap();
+        assert_eq!(restored.snapshot(), snap);
     }
 
     #[test]

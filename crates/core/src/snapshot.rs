@@ -4,8 +4,8 @@
 //! plane: the [`ControlPlane`](crate::ControlPlane) is proved against
 //! `fela-check`'s oracle Token Server by comparing snapshots (alongside grants
 //! and traces) under random churn, and both can be
-//! [restored](crate::ControlPlane::restore) from a snapshot plus the token
-//! table, round-tripping bit-identically.
+//! [restored](crate::ControlPlane::restore) from a snapshot plus the live
+//! token table, round-tripping bit-identically.
 
 /// A canonical, totally ordered view of the server's scheduling state.
 ///
@@ -15,6 +15,11 @@
 /// uses snapshots to prune its state space; tests use them to assert replay
 /// equivalence, and the conformance suite compares the production plane's and
 /// the oracle's snapshots bit for bit.
+///
+/// A snapshot covers only the live window. Once an iteration has synced at
+/// every level it retires: its tokens, holders, revocation counts and
+/// per-level counters leave the plane, so a snapshot's size follows the
+/// iterations in flight, not the run length.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ServerSnapshot {
     /// Iterations whose root tokens have been released.
@@ -34,7 +39,7 @@ pub struct ServerSnapshot {
     pub completed: Vec<Vec<(u64, u64)>>,
     /// Per-level generation buffers: `(iteration, completed token ids)`.
     pub gen_buffers: Vec<Vec<(u64, Vec<u64>)>>,
-    /// Info Mapping: `(token id, holding worker)`.
+    /// Info Mapping of the live window: `(token id, holding worker)`.
     pub holder: Vec<(u64, usize)>,
     /// Workers queued for a token.
     pub waiting: Vec<usize>,
@@ -46,8 +51,8 @@ pub struct ServerSnapshot {
     pub quarantined: Vec<bool>,
     /// Active leases: `(token id, worker, attempt)` (empty without recovery).
     pub leases: Vec<(u64, usize, u64)>,
-    /// Per-token lease revocation counts: `(token id, revocations)` (sparse;
-    /// absent = 0). Behavioural — the next grant of a token carries this as
+    /// Per-token lease revocation counts of the live window: `(token id,
+    /// revocations)` (sparse; absent = 0). Behavioural — the next grant of a token carries this as
     /// its [`Grant::attempt`](crate::Grant::attempt).
     pub attempts: Vec<(u64, u64)>,
     /// Lease expiries per worker (the quarantine countdown).

@@ -6,7 +6,10 @@
 //! [`CoordOp`] record to a write-ahead log *before* the result becomes
 //! externally visible, and periodic [checkpoints](WalRecord::Checkpoint)
 //! serialize the [`ServerSnapshot`] (the byte-exact conformance currency)
-//! together with the token table and an opaque runtime payload. A crashed
+//! together with the live token table and an opaque runtime payload. The
+//! plane retires each iteration once it has synced at every level, so a
+//! checkpoint holds only the live window — about (levels + staleness)
+//! iterations of tokens — and nothing behind it is needed to recover. A crashed
 //! server [recovers](recover) by restoring the latest checkpoint and replaying
 //! the log suffix through [`apply_op`], verifying the recorded outcome digest
 //! at every step — so a restarted plane is provably snapshot-equal to the one
@@ -20,7 +23,10 @@
 //! [body_len: u32 LE] [crc32: u32 LE] [tag: u8] [fields, LE, declaration order]
 //! ```
 //!
-//! with the CRC taken over the body (tag + fields). Decoding **never
+//! with the CRC taken over the body (tag + fields). The `Begin` record
+//! carries the format version ([`WAL_VERSION`]); a log written in another
+//! layout — including the version-1 layout, whose checkpoints carried every
+//! token ever minted — is refused with [`WalError::Version`]. Decoding **never
 //! panics** on arbitrary bytes: element counts are range-guarded before any
 //! allocation, unknown tags and short bodies are structured [`WalError`]s,
 //! and a *torn tail* — a final record cut short by a crash mid-write — is
@@ -53,9 +59,15 @@ use crate::token::{Token, TokenId};
 use crate::{ControlPlane, FelaConfig, ScheduleError, TokenPlan};
 
 /// Maximum accepted record body, a defensive bound against corrupt length
-/// prefixes. Checkpoints carry the whole token table and snapshot, so the
-/// bound is far more generous than a wire frame's.
+/// prefixes. Checkpoints carry the live window's tokens and snapshot, which
+/// grow with the cluster and the staleness bound, so the bound is far more
+/// generous than a wire frame's.
 pub const MAX_RECORD: u32 = 256 * 1024 * 1024;
+
+/// The record layout this build writes and reads, stamped in every `Begin`
+/// record. Version 2 checkpoints carry only the live window: retired
+/// iterations are gone from the token table and the snapshot.
+pub const WAL_VERSION: u32 = 2;
 
 /// File name of the log inside a `--wal-dir` directory.
 pub fn wal_path(dir: &Path) -> PathBuf {
@@ -154,6 +166,13 @@ pub enum WalError {
     },
     /// The log does not open with a `Begin` record.
     MissingBegin,
+    /// The `Begin` record names a layout this build does not read.
+    Version {
+        /// The log's format version (1 for the unversioned first layout).
+        found: u32,
+        /// The version this build reads ([`WAL_VERSION`]).
+        supported: u32,
+    },
     /// The `Begin` record disagrees with the plane shape (cluster size,
     /// iteration count) the caller is recovering into.
     BeginMismatch,
@@ -221,6 +240,10 @@ impl std::fmt::Display for WalError {
             ),
             WalError::Malformed { what } => write!(f, "malformed field: {what}"),
             WalError::MissingBegin => write!(f, "log does not open with a Begin record"),
+            WalError::Version { found, supported } => write!(
+                f,
+                "log is format version {found}, this build reads version {supported}"
+            ),
             WalError::BeginMismatch => {
                 write!(f, "Begin record disagrees with the recovering plane's shape")
             }
@@ -957,16 +980,19 @@ fn get_snapshot(c: &mut Cursor<'_>) -> Result<ServerSnapshot, WalError> {
 
 // ---- records -------------------------------------------------------------
 
-const TAG_BEGIN: u8 = 1;
+/// The version-1 `Begin` tag, which carried no version field.
+const TAG_BEGIN_V1: u8 = 1;
 const TAG_OP: u8 = 2;
 const TAG_CHECKPOINT: u8 = 3;
 const TAG_RESIZE: u8 = 4;
+const TAG_BEGIN: u8 = 5;
 
 /// One log record.
 #[derive(Clone, PartialEq, Debug)]
 pub enum WalRecord {
-    /// Opens the log: the plane shape the records describe. Recovery refuses
-    /// a log whose `Begin` disagrees with the plane being rebuilt.
+    /// Opens the log: the plane shape the records describe, stamped with
+    /// [`WAL_VERSION`]. Recovery refuses a log whose `Begin` disagrees with
+    /// the plane being rebuilt or names another version.
     Begin {
         /// Cluster size.
         n_workers: u32,
@@ -991,14 +1017,14 @@ pub enum WalRecord {
         /// Cluster size *after* the resize.
         n_workers: u32,
     },
-    /// A full-state checkpoint; replay resumes from the latest one.
+    /// A checkpoint of the live window; replay resumes from the latest one.
     Checkpoint {
         /// Sequence number of the *next* op after this checkpoint.
         seq: u64,
         /// Opaque runtime payload (e.g. the live server's committed
         /// completion schedule) restored verbatim on recovery.
         payload: Vec<u8>,
-        /// The token table, in id order.
+        /// The live token table (retired iterations excluded), in id order.
         tokens: Vec<Token>,
         /// The scheduling state (boxed: a snapshot dwarfs the other
         /// variants, and records travel through `Vec<WalRecord>`).
@@ -1014,6 +1040,7 @@ fn encode_body(rec: &WalRecord) -> Vec<u8> {
             max_iterations,
         } => {
             put_u8(&mut body, TAG_BEGIN);
+            put_u32(&mut body, WAL_VERSION);
             put_u32(&mut body, *n_workers);
             put_u64(&mut body, *max_iterations);
         }
@@ -1053,10 +1080,25 @@ fn encode_body(rec: &WalRecord) -> Vec<u8> {
 fn decode_body(body: &[u8]) -> Result<WalRecord, WalError> {
     let mut c = Cursor::new(body);
     let rec = match c.u8()? {
-        TAG_BEGIN => WalRecord::Begin {
-            n_workers: c.u32()?,
-            max_iterations: c.u64()?,
-        },
+        TAG_BEGIN_V1 => {
+            return Err(WalError::Version {
+                found: 1,
+                supported: WAL_VERSION,
+            })
+        }
+        TAG_BEGIN => {
+            let found = c.u32()?;
+            if found != WAL_VERSION {
+                return Err(WalError::Version {
+                    found,
+                    supported: WAL_VERSION,
+                });
+            }
+            WalRecord::Begin {
+                n_workers: c.u32()?,
+                max_iterations: c.u64()?,
+            }
+        }
         TAG_OP => WalRecord::Op {
             seq: c.u64()?,
             op: get_coord_op(&mut c)?,
@@ -1384,6 +1426,10 @@ pub struct Recovered {
     pub payload: Vec<u8>,
     /// The op suffix replayed after the latest checkpoint.
     pub ops: Vec<CoordOp>,
+    /// `(iteration, level)` of every report the suffix accepted, in log
+    /// order — read before the replay applies the report, since a later
+    /// sync in the suffix may retire the token.
+    pub accepted: Vec<(u64, usize)>,
     /// Bytes of the torn tail the reader dropped (truncate them before
     /// resuming a file-backed log).
     pub torn_bytes: usize,
@@ -1400,7 +1446,7 @@ pub struct Recovered {
 /// Recovery cost is bounded by the checkpoint interval, not the run length:
 /// every frame's checksum and tag/sequence header is verified, but only the
 /// latest checkpoint and the ops after it are fully decoded. Superseded
-/// checkpoints — each carrying a whole token table — are checksummed and
+/// checkpoints — each carrying its live window — are checksummed and
 /// skipped. ([`read_log`] remains the full-decode reader; `fela-check` uses
 /// it to audit every record body.)
 pub fn recover(
@@ -1489,7 +1535,7 @@ pub fn recover(
                     checkpoint_at = Some(i);
                 }
             }
-            Some(TAG_BEGIN) => {
+            Some(TAG_BEGIN | TAG_BEGIN_V1) => {
                 return Err(WalError::Malformed {
                     what: "duplicate Begin record",
                 })
@@ -1567,18 +1613,29 @@ pub fn recover(
         ),
     };
     let first_seq = expected_seq - suffix.len() as u64;
+    let mut accepted = Vec::new();
     for (i, op) in suffix.iter().enumerate() {
+        let reported = match op.kind {
+            OpKind::Report { token, .. } => {
+                plane.token(TokenId(token)).map(|t| (t.iteration, t.level))
+            }
+            _ => None,
+        };
         let outcome = apply_op(&mut plane, &op.kind);
         if outcome != op.outcome {
             return Err(WalError::Diverged {
                 seq: first_seq + i as u64,
             });
         }
+        if let (Some(completion), OpOutcome::Synced { .. }) = (reported, &outcome) {
+            accepted.push(completion);
+        }
     }
     Ok(Recovered {
         plane,
         payload,
         ops: suffix,
+        accepted,
         torn_bytes,
         next_seq: expected_seq,
     })
@@ -1666,7 +1723,10 @@ pub fn recover_elastic(
             });
         }
         match body.first().copied() {
-            Some(TAG_BEGIN) => {
+            Some(TAG_BEGIN | TAG_BEGIN_V1) => {
+                // Decode the small record so a foreign layout is refused
+                // with its version, wherever the segment sits.
+                decode_body(body)?;
                 begin_count += 1;
                 last_begin_offset = Some(pos);
                 trailing_resize = false;
@@ -1716,6 +1776,7 @@ pub fn recover_elastic(
                 plane,
                 payload: Vec::new(),
                 ops: Vec::new(),
+                accepted: Vec::new(),
                 torn_bytes,
                 next_seq: 0,
             },
@@ -2089,11 +2150,62 @@ mod tests {
 
     #[test]
     fn unknown_tags_error_without_panicking() {
-        let body = vec![99u8, 1, 2, 3];
+        assert_eq!(
+            read_log(&frame(&[99u8, 1, 2, 3])),
+            Err(WalError::UnknownTag(99))
+        );
+    }
+
+    /// Frames a raw record body: length prefix, checksum, body.
+    fn frame(body: &[u8]) -> Vec<u8> {
         let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
-        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-        bytes.extend_from_slice(&body);
-        assert_eq!(read_log(&bytes), Err(WalError::UnknownTag(99)));
+        bytes.extend_from_slice(&crc32(body).to_le_bytes());
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
+    #[test]
+    fn a_log_in_another_layout_is_refused_with_its_version() {
+        let mut p = plane();
+        let mem = attach(&mut p);
+        p.checkpoint_wal(&[]).expect("checkpoint");
+        drive(&mut p, None, &mut Vec::new());
+        let log = read_log(&mem.bytes()).expect("read");
+        let rest: Vec<u8> = log.records[1..].iter().flat_map(encode_record).collect();
+        // Version 1 opened with tag 1 and no version field; its checkpoints
+        // carried every token ever minted.
+        let mut v1 = vec![TAG_BEGIN_V1];
+        v1.extend_from_slice(&2u32.to_le_bytes());
+        v1.extend_from_slice(&2u64.to_le_bytes());
+        // A later layout under the current tag.
+        let mut v3 = vec![TAG_BEGIN];
+        v3.extend_from_slice(&(WAL_VERSION + 1).to_le_bytes());
+        v3.extend_from_slice(&2u32.to_le_bytes());
+        v3.extend_from_slice(&2u64.to_le_bytes());
+        for (begin, found) in [(v1, 1), (v3, WAL_VERSION + 1)] {
+            let mut bytes = frame(&begin);
+            bytes.extend_from_slice(&rest);
+            let refused = Err(WalError::Version {
+                found,
+                supported: WAL_VERSION,
+            });
+            assert_eq!(read_log(&bytes).map(|_| ()), refused);
+            assert_eq!(
+                recover(&bytes, p.plan(), p.config(), &meta(), 2, 2).map(|_| ()),
+                refused
+            );
+            let shape = EpochShape {
+                plan: p.plan(),
+                cfg: p.config(),
+                meta: &meta(),
+                n_workers: 2,
+                max_iterations: 2,
+            };
+            assert_eq!(recover_elastic(&bytes, &[shape]).map(|_| ()), refused);
+        }
+        // The current layout still recovers.
+        let rec = recover(&mem.bytes(), p.plan(), p.config(), &meta(), 2, 2).expect("v2");
+        assert_eq!(rec.plane.snapshot(), p.snapshot());
     }
 
     fn attach(plane: &mut ControlPlane) -> MemWal {

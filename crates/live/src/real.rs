@@ -70,7 +70,7 @@ use fela_cluster::{FaultKind, Scenario};
 use fela_core::wal::{decode_u64_pairs, encode_u64_pairs};
 use fela_core::{
     recover, wal_path, ControlPlane, DurabilityOptions, FelaConfig, FelaRuntime, FileWal, Grant,
-    LevelMeta, MemWal, OpKind, OpOutcome, RecoveryConfig, ScheduleError, TokenId, TokenPlan,
+    LevelMeta, MemWal, RecoveryConfig, ScheduleError, TokenId, TokenPlan,
 };
 use fela_model::Partition;
 use fela_sim::{SimDuration, SimTime};
@@ -505,18 +505,7 @@ impl RealServer<'_> {
                 .map(|(iteration, level)| (iteration, level as usize))
                 .collect()
         };
-        for op in &rec.ops {
-            let OpKind::Report { token, .. } = op.kind else {
-                continue;
-            };
-            if !matches!(op.outcome, OpOutcome::Synced { .. }) {
-                continue;
-            }
-            match rec.plane.token(TokenId(token)) {
-                Some(t) => replayed.push((t.iteration, t.level)),
-                None => panic!("replayed report names a token the plan never minted"),
-            }
-        }
+        replayed.extend_from_slice(&rec.accepted);
         assert_eq!(
             replayed, self.completions,
             "WAL replay reconstructed a different completion schedule"
@@ -1245,6 +1234,40 @@ mod tests {
             out.params, baseline.params,
             "recovered run must produce byte-identical parameters"
         );
+    }
+
+    #[test]
+    fn a_replay_across_retired_iterations_matches_the_uninterrupted_run() {
+        // Sparse or no checkpoints: the replayed suffix accepts reports of
+        // iterations that a later sync in the same suffix retires, so the
+        // completion schedule must come from the replay itself, not from
+        // the recovered plane's token table.
+        let (config, mut scenario) = quick();
+        scenario.iterations = 8;
+        let baseline = run_real(&config, &scenario, &mut ChanTransport, fast())
+            .expect("uninterrupted run succeeds");
+        scenario.fault = FaultModel::ServerCrashRestart {
+            iteration: 5,
+            down: fela_sim::SimDuration::from_millis(100),
+        };
+        let opts = RealOptions {
+            time_scale: 1e-3,
+            min_down: Duration::from_millis(1),
+            ..RealOptions::default()
+        };
+        for checkpoint_every in [0, 3] {
+            let durability = DurabilityOptions {
+                wal_dir: None,
+                checkpoint_every,
+            };
+            let out = run_real_durable(&config, &scenario, &mut ChanTransport, opts, &durability)
+                .expect("durable run survives the server crash");
+            assert_eq!(out.server_crashes, 1);
+            assert_eq!(
+                out.params, baseline.params,
+                "checkpoint every {checkpoint_every}: params must match"
+            );
+        }
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //!    park a long SSP-gated backlog; both must agree op by op and snapshot by
 //!    snapshot through out-of-order releases, a crash and a restart, and the
 //!    plane's cost per token must not grow with the run's length.
+//! 5. **Retirement** — both drop an iteration once it has synced at every
+//!    level: the token table stays within the live window over a long run,
+//!    and a hung worker's report after its iteration retired is stale on
+//!    both.
 
 use std::collections::BTreeMap;
 
@@ -612,6 +616,15 @@ impl Lockstep {
             .expect("crash");
     }
 
+    fn lease_expired(&mut self, token: TokenId, attempt: u64) {
+        let (a, b) = (
+            self.oracle.lease_expired(token, attempt),
+            self.plane.lease_expired(token, attempt),
+        );
+        self.agree(format_args!("lease_expired({token:?}, {attempt})"), a, b)
+            .expect("expiry");
+    }
+
     fn restart(&mut self, worker: usize) {
         let (a, b) = (
             self.oracle.worker_restarted(worker),
@@ -804,5 +817,117 @@ fn skewed_drive_cost_per_token_does_not_grow_with_run_length() {
         "ns per token grew {:.2}x from {SHORT} to {} iterations",
         long / short,
         8 * SHORT
+    );
+}
+
+/// Round-robin drive: every worker but `idle` requests; grants are reported
+/// in grant order and each sync finishes at once. Calls `after_sync` after
+/// every finished sync and returns once `until(t)` holds or nothing is
+/// grantable.
+fn round_robin_drive<T: SkewTarget>(
+    t: &mut T,
+    idle: Option<usize>,
+    mut until: impl FnMut(&T) -> bool,
+    mut after_sync: impl FnMut(&T),
+) {
+    let mut clock = 0u64;
+    while !until(t) {
+        clock += 1_000;
+        let now = SimTime::from_nanos(clock);
+        let mut batch = Vec::new();
+        for w in (0..N_WORKERS).filter(|&w| Some(w) != idle) {
+            if let Some(g) = t.request(w, now).expect("request") {
+                batch.push((w, g.token.id));
+            }
+        }
+        while let Some((w, g)) = t.pop_ready_grant(now).expect("pop") {
+            batch.push((w, g.token.id));
+        }
+        if batch.is_empty() {
+            return;
+        }
+        for (w, id) in batch {
+            for s in t.report(w, id).expect("report") {
+                t.sync_finished(s.level, s.iteration).expect("sync");
+                after_sync(t);
+            }
+        }
+    }
+}
+
+/// Boundedness: over a 2,000-iteration drive the plane's token table never
+/// holds more than (levels + staleness + 1) iterations' worth of tokens,
+/// and the plane stays snapshot-equal to the oracle after every operation.
+/// Before retirement the table held every token ever minted.
+#[test]
+fn token_table_stays_within_the_live_window() {
+    const ITERATIONS: u64 = 2_000;
+    for staleness in [0, 2] {
+        let cfg = build_cfg(true, true, false, false).with_staleness(staleness);
+        let mut pair = Lockstep::new(cfg, ITERATIONS);
+        let plan = pair.plane.plan().clone();
+        let bound = (plan.num_levels() as u64 + staleness + 1) * plan.tokens_per_iteration();
+        let mut largest = 0usize;
+        round_robin_drive(
+            &mut pair,
+            None,
+            |_| false,
+            |pair| {
+                let live = pair.plane.tokens().len();
+                assert!(
+                    live as u64 <= bound,
+                    "staleness {staleness}: {live} live tokens after {} iterations, bound {bound}",
+                    pair.plane.completed_iterations()
+                );
+                assert_eq!(pair.oracle.tokens(), pair.plane.tokens());
+                largest = largest.max(live);
+            },
+        );
+        assert!(pair.oracle.run_complete() && pair.plane.run_complete());
+        assert!(pair.plane.tokens().is_empty(), "every iteration retired");
+        assert!(largest > 0);
+    }
+}
+
+/// A hung worker reports after its iteration has retired: its lease
+/// expired, another worker finished the token, and the iteration synced at
+/// every level. The plane and the oracle agree op by op — both answer
+/// `StaleReport` — and the late report changes neither.
+#[test]
+fn a_hung_workers_report_after_retirement_is_stale_on_both() {
+    const HUNG: usize = 3;
+    let cfg = build_cfg(true, true, false, true);
+    let mut pair = Lockstep::new(cfg, ITERATIONS);
+    let grant = pair
+        .request(HUNG, SimTime::from_nanos(1))
+        .expect("request")
+        .expect("the hung worker's own root");
+    let token = grant.token.id;
+    assert_eq!(grant.token.iteration, 0);
+    pair.lease_expired(token, grant.attempt);
+    round_robin_drive(
+        &mut pair,
+        Some(HUNG),
+        |pair| pair.plane.completed_iterations() >= 1,
+        |_| {},
+    );
+    assert!(pair.plane.completed_iterations() >= 1);
+    assert!(
+        pair.plane.token(token).is_none() && pair.oracle.token(token).is_none(),
+        "iteration 0 retired on both"
+    );
+    let before = pair.plane.snapshot();
+    let late = pair.report(HUNG, token);
+    assert_eq!(
+        late,
+        Err(ScheduleError::StaleReport {
+            worker: HUNG,
+            token
+        })
+    );
+    assert_eq!(
+        pair.plane.snapshot(),
+        before,
+        "a stale report changes nothing"
     );
 }
